@@ -38,8 +38,8 @@ func waitQueue(t *testing.T, p *Pool, n int) {
 func TestAffinityRoutesSiblings(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	a, _, _ := p.AddRemote("a", 1)
-	b, _, _ := p.AddRemote("b", 1)
+	a, _, _ := p.AddRemote("a", 1, 0)
+	b, _, _ := p.AddRemote("b", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 
 	// a evaluates the first site-1 unit and becomes site 1's owner.
@@ -48,7 +48,7 @@ func TestAffinityRoutesSiblings(t *testing.T) {
 	if la.Unit.Key != "s1a" {
 		t.Fatalf("a claimed %q, want s1a", la.Unit.Key)
 	}
-	if acc, err := p.Report(a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, ""); err != nil || !acc {
+	if acc, err := report(p, a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, ""); err != nil || !acc {
 		t.Fatalf("report: accepted=%v err=%v", acc, err)
 	}
 	if r := <-r1; r.err != nil {
@@ -72,8 +72,8 @@ func TestAffinityRoutesSiblings(t *testing.T) {
 	if la2.Unit.Key != "s1b" {
 		t.Fatalf("a claimed %q, want its sibling s1b", la2.Unit.Key)
 	}
-	p.Report(a, la2.Job, la2.Unit.Key, la2.Epoch, search.Verdict{Pass: true}, "")
-	p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+	report(p, a, la2.Job, la2.Unit.Key, la2.Epoch, search.Verdict{Pass: true}, "")
+	report(p, b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
 	if r := <-r2; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -89,14 +89,14 @@ func TestAffinityRoutesSiblings(t *testing.T) {
 func TestAffinityStarvationFallback(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	a, _, _ := p.AddRemote("a", 1)
-	b, _, _ := p.AddRemote("b", 1)
+	a, _, _ := p.AddRemote("a", 1, 0)
+	b, _, _ := p.AddRemote("b", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 
 	// a owns site 1.
 	r0 := evalSiteAsync(j, "seed", 1)
 	la := claimSoon(t, p, a)
-	p.Report(a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, "")
+	report(p, a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, "")
 	if r := <-r0; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -118,16 +118,16 @@ func TestAffinityStarvationFallback(t *testing.T) {
 		if lb.Unit.Key == "head" {
 			t.Fatalf("head taken after only %d bypasses, want %d", i, starveSkips)
 		}
-		p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+		report(p, b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
 	}
 	lb := claimSoon(t, p, b)
 	if lb.Unit.Key != "head" {
 		t.Fatalf("claim after %d bypasses got %q, want the starving head", starveSkips, lb.Unit.Key)
 	}
-	p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+	report(p, b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
 	// Settle the remaining fresh unit and drain every channel.
 	last := claimSoon(t, p, b)
-	p.Report(b, last.Job, last.Unit.Key, last.Epoch, search.Verdict{Pass: true}, "")
+	report(p, b, last.Job, last.Unit.Key, last.Epoch, search.Verdict{Pass: true}, "")
 	for _, res := range results {
 		if r := <-res; r.err != nil {
 			t.Fatal(r.err)
@@ -145,14 +145,14 @@ func TestAffinityGraceDecline(t *testing.T) {
 	fc := newFakeClock()
 	p := New(quietOpts(fc))
 	defer p.Close()
-	a, _, _ := p.AddRemote("a", 1)
-	b, _, _ := p.AddRemote("b", 1)
+	a, _, _ := p.AddRemote("a", 1, 0)
+	b, _, _ := p.AddRemote("b", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 
 	// a owns site 1.
 	r0 := evalSiteAsync(j, "seed", 1)
 	la := claimSoon(t, p, a)
-	p.Report(a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, "")
+	report(p, a, la.Job, la.Unit.Key, la.Epoch, search.Verdict{Pass: true}, "")
 	if r := <-r0; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -161,7 +161,7 @@ func TestAffinityGraceDecline(t *testing.T) {
 	// leases, so it is positioned to collect it — b comes away empty.
 	r1 := evalSiteAsync(j, "sib", 1)
 	waitQueue(t, p, 1)
-	if leases, _, err := p.Claim(b, 0, 1); err != nil || len(leases) != 0 {
+	if leases, _, err := p.Claim(b, 0, 1, 0); err != nil || len(leases) != 0 {
 		t.Fatalf("claim inside the grace: leases=%v err=%v, want none", leases, err)
 	}
 	// Past the grace the decline must not stall the queue: b takes it.
@@ -170,7 +170,7 @@ func TestAffinityGraceDecline(t *testing.T) {
 	if lb.Unit.Key != "sib" {
 		t.Fatalf("b claimed %q after the grace, want sib", lb.Unit.Key)
 	}
-	p.Report(b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
+	report(p, b, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{Pass: true}, "")
 	if r := <-r1; r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -182,13 +182,13 @@ func TestAffinityGraceDecline(t *testing.T) {
 func TestAffinityQuarantineReroutes(t *testing.T) {
 	p := New(Options{QuarantineAfter: 1})
 	defer p.Close()
-	bad, _, _ := p.AddRemote("bad", 1)
-	good, _, _ := p.AddRemote("good", 1)
+	bad, _, _ := p.AddRemote("bad", 1, 0)
+	good, _, _ := p.AddRemote("good", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 
 	r1 := evalSiteAsync(j, "u1", 5)
 	lb := claimSoon(t, p, bad) // bad owns site 5 now
-	if acc, err := p.Report(bad, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{}, "oom"); err != nil || !acc {
+	if acc, err := report(p, bad, lb.Job, lb.Unit.Key, lb.Epoch, search.Verdict{}, "oom"); err != nil || !acc {
 		t.Fatalf("failure report: accepted=%v err=%v", acc, err)
 	}
 	for _, w := range p.Workers() {
@@ -208,7 +208,7 @@ func TestAffinityQuarantineReroutes(t *testing.T) {
 	if owner != good {
 		t.Fatalf("site owner %q after reroute, want %q", owner, good)
 	}
-	p.Report(good, lg.Job, lg.Unit.Key, lg.Epoch, search.Verdict{Pass: true}, "")
+	report(p, good, lg.Job, lg.Unit.Key, lg.Epoch, search.Verdict{Pass: true}, "")
 	if r := <-r1; r.err != nil || !r.v.Pass {
 		t.Fatalf("unit result %+v", r)
 	}

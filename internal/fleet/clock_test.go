@@ -45,7 +45,7 @@ func TestClockLeaseExpiry(t *testing.T) {
 	fc := newFakeClock()
 	p := New(quietOpts(fc))
 	defer p.Close()
-	id, _, _ := p.AddRemote("silent", 1)
+	id, _, _ := p.AddRemote("silent", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	claimSoon(t, p, id)
@@ -58,20 +58,20 @@ func TestClockLeaseExpiry(t *testing.T) {
 	}
 	// A second worker joins, then the first's budget runs out: only the
 	// silent one dies, and its shard requeues to the survivor.
-	surv, _, _ := p.AddRemote("survivor", 1)
+	surv, _, _ := p.AddRemote("survivor", 1, 0)
 	fc.Advance(2 * time.Second)
 	p.sweep()
 	if p.Alive() != 1 {
 		t.Fatalf("Alive() = %d after expiry, want the survivor only", p.Alive())
 	}
-	if _, err := p.Heartbeat(id); err != ErrUnknownWorker {
+	if _, err := p.HeartbeatLoad(id, -1); err != ErrUnknownWorker {
 		t.Fatalf("expired worker heartbeat err=%v, want ErrUnknownWorker", err)
 	}
 	lease := claimSoon(t, p, surv)
 	if lease.Unit.Key != "k1" {
 		t.Fatalf("requeued unit %q, want k1", lease.Unit.Key)
 	}
-	p.Report(surv, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+	report(p, surv, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
 	if r := <-res; r.err != nil || !r.v.Pass {
 		t.Fatalf("unit result %+v", r)
 	}
@@ -86,13 +86,13 @@ func TestClockSkewTolerance(t *testing.T) {
 	fc := newFakeClock()
 	p := New(quietOpts(fc))
 	defer p.Close()
-	id, _, _ := p.AddRemote("skewed", 1)
+	id, _, _ := p.AddRemote("skewed", 1, 0)
 	// Beats arrive every 45s (daemon clock) — inside the 60s budget —
 	// for a long stretch: the worker must survive every sweep.
 	for i := 0; i < 10; i++ {
 		fc.Advance(45 * time.Second)
 		p.sweep()
-		if _, err := p.Heartbeat(id); err != nil {
+		if _, err := p.HeartbeatLoad(id, -1); err != nil {
 			t.Fatalf("beat %d rejected: %v", i, err)
 		}
 	}
@@ -105,7 +105,7 @@ func TestClockSkewTolerance(t *testing.T) {
 	if p.Alive() != 0 {
 		t.Fatal("silent worker survived the expiry budget")
 	}
-	if _, err := p.Heartbeat(id); err != ErrUnknownWorker {
+	if _, err := p.HeartbeatLoad(id, -1); err != ErrUnknownWorker {
 		t.Fatalf("beat after retirement: err=%v, want ErrUnknownWorker", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestClockHeartbeatVsReassignRace(t *testing.T) {
 	opts.Fallback = true
 	p := New(opts)
 	defer p.Close()
-	p.AddRemote("anchor", 1) // assignable at enqueue time so units queue
+	p.AddRemote("anchor", 1, 0) // assignable at enqueue time so units queue
 	j := p.Register("j0001", &fakeEval{})
 
 	const units = 40
@@ -141,23 +141,23 @@ func TestClockHeartbeatVsReassignRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			id, _, _ := p.AddRemote("racer", 2)
+			id, _, _ := p.AddRemote("racer", 2, 0)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				leases, _, err := p.Claim(id, 5*time.Millisecond, 2)
+				leases, _, err := p.Claim(id, 5*time.Millisecond, 2, 0)
 				if err != nil {
-					id, _, _ = p.AddRemote("racer", 2) // expired: fresh identity
+					id, _, _ = p.AddRemote("racer", 2, 0) // expired: fresh identity
 					continue
 				}
 				if i%3 == 0 {
-					p.Heartbeat(id)
+					p.HeartbeatLoad(id, -1)
 				}
 				for _, lease := range leases {
-					p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+					report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
 				}
 			}
 		}(g)

@@ -11,19 +11,24 @@
 // sets, the composed final configuration is byte-identical to a serial
 // run no matter how units are sharded, reassigned or replayed.
 //
-// Workers come in two flavors. In-process workers (Start/AddWorker) are
-// goroutines evaluating on the job's registered evaluator. Remote
-// workers (AddRemote, driven over the wire by internal/remote and
-// cmd/fpmixworker) claim, evaluate and report through explicit RPCs in
-// their own address space — a crashed worker process can never take the
-// pool down; its stopped heartbeat breaks the lease exactly like an
-// in-process death. A remote worker may hold several leases at once
-// (batched delivery sized to its declared parallelism); every lease
-// carries its own owner+epoch idempotency token, so batching changes
-// how many units ride one RPC, never the failure semantics. All
-// lease-expiry decisions use the pool's own clock only: remote
-// timestamps never enter them, so arbitrarily skewed worker clocks
-// cannot expire or extend a lease.
+// Every worker runs the same Runtime — claim loop, Parallel evaluators,
+// batching reporter, heartbeat — against the pool's Claim/ReportBatch/
+// HeartbeatLoad through a Conn. In-process workers (Start/AddWorker)
+// are goroutines whose Conn calls the pool directly and evaluates on
+// the job's registered evaluator, one lease at a time. Remote workers
+// (AddRemote; internal/remote and cmd/fpmixworker) run the runtime in
+// their own address space behind the wire protocol — a crashed worker
+// process can never take the pool down; its stopped heartbeat breaks
+// its leases like a Kill. A worker holds at most the lease batch it
+// declared at registration; every lease carries its own owner+epoch
+// idempotency token, so batching changes how many units ride one call,
+// never the failure semantics. The pool treats the two kinds alike
+// except where a failure means something different: an in-process
+// evaluation error or cancellation settles the unit (a remote one
+// requeues it), DrainRemote stops only remote leases, and a retired
+// in-process worker stays dead. All lease-expiry decisions use the
+// pool's own clock only: worker timestamps never enter them, so
+// arbitrarily skewed worker clocks cannot expire or extend a lease.
 //
 // Scheduling prefers fork affinity: units sharing a fork point (their
 // first single site) resume from the same donor snapshot under
@@ -33,6 +38,7 @@
 package fleet
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"strconv"
@@ -136,7 +142,7 @@ type WorkerInfo struct {
 	Fails     int         `json:"fails,omitempty"`    // consecutive reported failures
 	// InFlight counts leases currently held (assigned, not yet
 	// reported); Evaluating is the worker's own last-heartbeated count
-	// of evaluations running right now (remote only).
+	// of evaluations running right now.
 	InFlight   int `json:"in_flight"`
 	Evaluating int `json:"evaluating,omitempty"`
 	// UnitsPerSec is accepted units over the span from the worker's
@@ -153,13 +159,19 @@ type WorkerInfo struct {
 type Pool struct {
 	opts Options
 
-	mu           sync.Mutex
-	cond         *sync.Cond
-	waitCh       chan struct{} // closed+replaced on every scheduling event
-	workers      map[string]*worker
-	queue        []*shard          // FIFO of unleased shards
-	aff          map[string]string // fork-site key → owning worker ID
-	wseq, rseq   int
+	ctx  context.Context // in-process workers' lifetime; cancelled by Close
+	stop context.CancelFunc
+
+	mu         sync.Mutex
+	waitCh     chan struct{} // closed+replaced on every scheduling event
+	workers    map[string]*worker
+	queue      []*shard          // FIFO of unleased shards
+	aff        map[string]string // fork-site key → owning worker ID
+	wseq, rseq int
+	// epochs numbers lease assignments pool-wide, so a unit key leased
+	// again — reassigned, or enqueued again under the same key — always
+	// carries an epoch above any a worker has already reported.
+	epochs       int
 	fallbacks    int
 	draining     bool // no new remote leases (graceful shutdown)
 	interrupting bool // every queued or future unit settles interrupted
@@ -173,6 +185,7 @@ type worker struct {
 	state    WorkerState
 	dead     bool
 	parallel int // declared concurrent evaluations (1 for in-process)
+	batch    int // declared lease capacity (1 for in-process)
 
 	done       int
 	discarded  int
@@ -186,7 +199,6 @@ type worker struct {
 	wallSum    time.Duration
 
 	lastBeat time.Time
-	stopBeat chan struct{} // in-process only
 }
 
 // shard is one leased evaluation unit.
@@ -196,7 +208,7 @@ type shard struct {
 	site string // fork-affinity key (job + fork site)
 
 	owner     string // worker holding the lease ("" = queued)
-	epoch     int    // bumped at every assignment
+	epoch     int    // pool-wide sequence number of the latest assignment
 	reassigns int
 	skips     int       // times bypassed at the queue head by affinity picks
 	queued    time.Time // last (re-)enqueue, bounds the affinity-decline grace
@@ -207,6 +219,13 @@ type shard struct {
 type shardResult struct {
 	v   search.Verdict
 	err error
+}
+
+// settle delivers the shard's outcome to its waiting EvaluateUnit;
+// callers hold p.mu and have checked it is not yet delivered.
+func (sh *shard) settle(v search.Verdict, err error) {
+	sh.delivered = true
+	sh.done <- shardResult{v: v, err: err}
 }
 
 // New builds an empty pool; add workers with Start or AddWorker.
@@ -232,7 +251,7 @@ func New(opts Options) *Pool {
 		waitCh:  make(chan struct{}),
 		aff:     make(map[string]string),
 	}
-	p.cond = sync.NewCond(&p.mu)
+	p.ctx, p.stop = context.WithCancel(context.Background())
 	go p.monitor()
 	return p
 }
@@ -245,11 +264,8 @@ func (p *Pool) now() time.Time {
 	return time.Now()
 }
 
-// wakeLocked signals every scheduling waiter — in-process claim loops
-// on the cond, remote long-polls on the wait channel. Callers hold
-// p.mu.
+// wakeLocked wakes every parked claim; callers hold p.mu.
 func (p *Pool) wakeLocked() {
-	p.cond.Broadcast()
 	close(p.waitCh)
 	p.waitCh = make(chan struct{})
 }
@@ -280,26 +296,22 @@ func (p *Pool) Start(n int) {
 
 // AddWorker registers one in-process worker and returns its ID.
 func (p *Pool) AddWorker() string {
-	p.mu.Lock()
-	p.wseq++
-	w := &worker{
-		id:       fmt.Sprintf("w%d", p.wseq),
-		state:    WorkerIdle,
-		parallel: 1,
-		leases:   make(map[string]*shard),
-		lastBeat: p.now(),
-		stopBeat: make(chan struct{}),
-	}
-	p.workers[w.id] = w
-	p.mu.Unlock()
-	go p.beat(w)
-	go p.run(w)
-	return w.id
+	id := p.register("", false, 1, 1)
+	go p.serveLocal(local{p: p, id: id})
+	return id
 }
 
-// Kill reports a worker dead: its heartbeat stops, its leases are
-// broken and the shards requeued for other workers, and any verdict
-// the doomed evaluations still produce is discarded on delivery.
+// serveLocal runs an in-process worker until the pool closes or
+// retires it: one lease at a time, so the job's shared evaluator sees
+// the same load it did before sharding. A retired in-process worker
+// stays dead — only remote workers re-register.
+func (p *Pool) serveLocal(c Conn) {
+	Runtime{Parallel: 1, Batch: 1, Heartbeat: p.opts.Heartbeat}.Serve(p.ctx, c)
+}
+
+// Kill reports a worker dead: its leases are broken and the shards
+// requeued for other workers, and any verdict the doomed evaluations
+// still produce is discarded on delivery.
 func (p *Pool) Kill(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -350,7 +362,7 @@ func (p *Pool) Workers() []WorkerInfo {
 func (p *Pool) Alive() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.assignableLocked()
+	return p.assignableCountLocked()
 }
 
 // Fallbacks counts units that degraded to in-process evaluation
@@ -376,10 +388,10 @@ func (p *Pool) Close() {
 	if p.closed {
 		return
 	}
+	p.stop() // before closed: an in-process claim seeing closed finds its context done
 	p.closed = true
 	for _, sh := range p.queue {
-		sh.delivered = true
-		sh.done <- shardResult{err: fmt.Errorf("fleet: pool closed")}
+		sh.settle(search.Verdict{}, fmt.Errorf("fleet: pool closed"))
 	}
 	p.queue = nil
 	p.wakeLocked()
@@ -399,24 +411,19 @@ func (p *Pool) DrainRemote() {
 func (p *Pool) AwaitRemoteIdle(timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
-		n := p.remoteLeased()
+		n := 0
+		p.mu.Lock()
+		for _, w := range p.workers {
+			if w.remote {
+				n += len(w.leases)
+			}
+		}
+		p.mu.Unlock()
 		if n == 0 || time.Now().After(deadline) {
 			return n
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-}
-
-func (p *Pool) remoteLeased() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for _, w := range p.workers {
-		if w.remote {
-			n += len(w.leases)
-		}
-	}
-	return n
 }
 
 // ReleaseRemoteLeases settles every shard still leased to a remote
@@ -437,9 +444,8 @@ func (p *Pool) ReleaseRemoteLeases() {
 			if sh.delivered {
 				continue
 			}
-			sh.delivered = true
 			sh.owner = ""
-			sh.done <- shardResult{v: search.Verdict{Interrupted: true}}
+			sh.settle(search.Verdict{Interrupted: true}, nil)
 		}
 		if w.state == WorkerBusy {
 			w.state = WorkerIdle
@@ -457,8 +463,7 @@ func (p *Pool) InterruptQueued() {
 	p.interrupting = true
 	for _, sh := range p.queue {
 		if !sh.delivered {
-			sh.delivered = true
-			sh.done <- shardResult{v: search.Verdict{Interrupted: true}}
+			sh.settle(search.Verdict{Interrupted: true}, nil)
 		}
 	}
 	p.queue = nil
@@ -498,57 +503,16 @@ func (j *JobHandle) EvaluateUnit(u search.EvalUnit) (search.Verdict, error) {
 		p.mu.Unlock()
 		return search.Verdict{Interrupted: true}, nil
 	}
-	if p.assignableLocked() == 0 {
-		if p.opts.Fallback {
-			p.fallbacks++
-			p.mu.Unlock()
-			return j.ev.Evaluate(u)
-		}
-		p.mu.Unlock()
-		return search.Verdict{}, fmt.Errorf("fleet: no live workers")
+	if p.assignableCountLocked() == 0 {
+		p.orphanLocked(sh)
+	} else {
+		sh.queued = p.now()
+		p.queue = append(p.queue, sh)
+		p.wakeLocked()
 	}
-	sh.queued = p.now()
-	p.queue = append(p.queue, sh)
-	p.wakeLocked()
 	p.mu.Unlock()
 	r := <-sh.done
 	return r.v, r.err
-}
-
-// run is a worker's claim-evaluate-deliver loop.
-func (p *Pool) run(w *worker) {
-	for {
-		sh, epoch, ok := p.claim(w)
-		if !ok {
-			return
-		}
-		v, err := sh.job.ev.Evaluate(sh.unit)
-		p.deliver(w, sh, epoch, v, err)
-		p.mu.Lock()
-		dead := w.dead
-		p.mu.Unlock()
-		if dead {
-			return
-		}
-	}
-}
-
-// claim blocks until a shard is available, leasing it to w.
-func (p *Pool) claim(w *worker) (*shard, int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for {
-		if p.closed || w.dead {
-			return nil, 0, false
-		}
-		if w.state != WorkerQuarantined {
-			if sh := p.takeLocked(w); sh != nil {
-				p.assignLocked(w, sh)
-				return sh, sh.epoch, true
-			}
-		}
-		p.cond.Wait()
-	}
 }
 
 // takeLocked removes and returns the next shard for w, preferring fork
@@ -595,10 +559,10 @@ func (p *Pool) takeLocked(w *worker) *shard {
 			// the head now would strand its donor snapshot — the thief
 			// re-runs the donor the owner already paid for — so while the
 			// unit is inside its grace and the owner is positioned to
-			// collect it (a parked claim, or an idle in-process loop on
-			// the same broadcast), decline and let the owner have it. The
-			// grace is a hard bound: past it the unit goes to whoever
-			// asks, because a stalled owner must never stall the queue.
+			// collect it (its claim is parked or about to be), decline
+			// and let the owner have it. The grace is a hard bound: past
+			// it the unit goes to whoever asks, because a stalled owner
+			// must never stall the queue.
 			if owner, owned := p.aff[head.site]; owned && owner != w.id &&
 				p.ownerWillClaimLocked(owner) && p.now().Sub(head.queued) < affinityGrace {
 				return nil
@@ -616,40 +580,36 @@ func (p *Pool) takeLocked(w *worker) *shard {
 }
 
 // ownerWillClaimLocked reports whether the affinity owner is in a
-// position to collect more queued work promptly: a remote worker with
-// spare lease capacity keeps a claim parked at the daemon, and an
-// in-process worker between units claims on the next broadcast. A
-// saturated owner cannot — waiting on it would idle the queue, so a
-// decline is only worth it when this returns true. Callers hold p.mu.
+// position to collect more queued work promptly: a worker holding less
+// than its declared batch keeps a claim parked at the pool (its runtime
+// claims exactly that difference). A saturated owner cannot — waiting
+// on it would idle the queue, so a decline is only worth it when this
+// returns true. Callers hold p.mu.
 func (p *Pool) ownerWillClaimLocked(id string) bool {
 	w, ok := p.workers[id]
-	if !ok || !p.ownerAssignableLocked(id) {
-		return false
-	}
-	if w.remote {
-		return len(w.leases) < leaseCapLocked(w)
-	}
-	return len(w.leases) == 0
+	return ok && p.assignableLocked(w) && len(w.leases) < w.batch
 }
 
 // ownerAssignableLocked reports whether the worker behind an affinity
 // entry can still be assigned shards; callers hold p.mu.
 func (p *Pool) ownerAssignableLocked(id string) bool {
 	w, ok := p.workers[id]
-	if !ok || w.dead || w.state == WorkerQuarantined {
-		return false
-	}
-	if w.remote && p.draining {
-		return false
-	}
-	return true
+	return ok && p.assignableLocked(w)
+}
+
+// assignableLocked reports whether w can be leased shards: alive, not
+// quarantined, and not a remote worker during a drain. Callers hold
+// p.mu.
+func (p *Pool) assignableLocked(w *worker) bool {
+	return !w.dead && w.state != WorkerQuarantined && !(w.remote && p.draining)
 }
 
 // assignLocked leases a shard (already removed from the queue) to w
 // and records fork-site ownership; callers hold p.mu.
 func (p *Pool) assignLocked(w *worker, sh *shard) {
 	sh.owner = w.id
-	sh.epoch++
+	p.epochs++
+	sh.epoch = p.epochs
 	sh.skips = 0
 	w.leases[leaseKey(sh.job.id, sh.unit.Key)] = sh
 	w.state = WorkerBusy
@@ -664,33 +624,16 @@ func (p *Pool) assignLocked(w *worker, sh *shard) {
 	}
 }
 
-// deliver hands a verdict back — accepted only from the shard's current
-// lease holder in the epoch it claimed; anything else (the worker died
-// and the shard was reassigned) is discarded.
-func (p *Pool) deliver(w *worker, sh *shard, epoch int, v search.Verdict, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if sh.delivered || sh.owner != w.id || sh.epoch != epoch || w.dead {
-		w.discarded++
-		return
-	}
-	p.deliverLocked(w, sh, v, err)
-}
-
 // deliverLocked completes an accepted delivery; callers hold p.mu and
 // have verified the lease.
 func (p *Pool) deliverLocked(w *worker, sh *shard, v search.Verdict, err error) {
-	sh.delivered = true
 	sh.owner = ""
-	delete(w.leases, leaseKey(sh.job.id, sh.unit.Key))
+	p.breakLeaseLocked(w, sh)
 	w.done++
 	w.fails = 0
 	w.wallSum += v.Wall
 	w.lastDone = p.now()
-	if w.state == WorkerBusy && len(w.leases) == 0 {
-		w.state = WorkerIdle
-	}
-	sh.done <- shardResult{v: v, err: err}
+	sh.settle(v, err)
 	p.wakeLocked()
 }
 
@@ -703,29 +646,9 @@ func (p *Pool) breakLeaseLocked(w *worker, sh *shard) {
 	}
 }
 
-// beat refreshes the worker's heartbeat until it dies.
-func (p *Pool) beat(w *worker) {
-	t := time.NewTicker(p.opts.Heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-w.stopBeat:
-			return
-		case <-t.C:
-			p.mu.Lock()
-			if w.dead || p.closed {
-				p.mu.Unlock()
-				return
-			}
-			w.lastBeat = p.now()
-			p.mu.Unlock()
-		}
-	}
-}
-
-// monitor scans for workers whose heartbeat went silent (an in-process
-// worker only stops beating when killed; remote workers stop by
-// crashing or partitioning) and reassigns their shards.
+// monitor scans for workers whose heartbeat went silent (a remote
+// worker crashed or partitioned, an in-process one wedged) and
+// reassigns their shards.
 func (p *Pool) monitor() {
 	t := time.NewTicker(p.opts.Heartbeat)
 	defer t.Stop()
@@ -763,13 +686,6 @@ func (p *Pool) markDeadLocked(w *worker) {
 	}
 	w.dead = true
 	w.state = WorkerDead
-	if w.stopBeat != nil {
-		select {
-		case <-w.stopBeat:
-		default:
-			close(w.stopBeat)
-		}
-	}
 	p.disownSitesLocked(w)
 	for k, sh := range w.leases {
 		delete(w.leases, k)
@@ -795,37 +711,35 @@ func (p *Pool) disownSitesLocked(w *worker) {
 // no worker can take a lease — they would otherwise wait forever.
 // Callers hold p.mu.
 func (p *Pool) sweepUnassignableLocked() {
-	if p.assignableLocked() > 0 || len(p.queue) == 0 {
+	if p.assignableCountLocked() > 0 || len(p.queue) == 0 {
 		return
 	}
 	queue := p.queue
 	p.queue = nil
 	for _, sh := range queue {
-		if sh.delivered {
-			continue
+		if !sh.delivered {
+			p.orphanLocked(sh)
 		}
-		if p.opts.Fallback {
-			p.fallbacks++
-			go p.fallback(sh)
-			continue
-		}
-		sh.delivered = true
-		sh.done <- shardResult{err: fmt.Errorf("fleet: no live workers left for unit %q", sh.unit.Label)}
 	}
 }
 
-// fallback evaluates a shard in-process on the job's own evaluator;
-// runs outside p.mu.
-func (p *Pool) fallback(sh *shard) {
-	v, err := sh.job.ev.Evaluate(sh.unit)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if sh.delivered {
+// orphanLocked settles a shard no worker can take: with
+// Options.Fallback it evaluates in-process on the job's own evaluator
+// (outside p.mu), otherwise it fails. Callers hold p.mu.
+func (p *Pool) orphanLocked(sh *shard) {
+	if !p.opts.Fallback {
+		sh.settle(search.Verdict{}, fmt.Errorf("fleet: no live workers left for unit %q", sh.unit.Label))
 		return
 	}
-	sh.delivered = true
-	sh.done <- shardResult{v: v, err: err}
-	p.wakeLocked()
+	p.fallbacks++
+	go func() {
+		v, err := sh.job.ev.Evaluate(sh.unit)
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if !sh.delivered {
+			sh.settle(v, err)
+		}
+	}()
 }
 
 // requeueLocked puts a broken-lease shard back at the head of the
@@ -838,18 +752,11 @@ func (p *Pool) requeueLocked(sh *shard) {
 		return
 	}
 	if sh.reassigns > p.opts.MaxReassign {
-		sh.delivered = true
-		sh.done <- shardResult{err: fmt.Errorf("fleet: unit %q reassigned %d times, giving up", sh.unit.Label, sh.reassigns)}
+		sh.settle(search.Verdict{}, fmt.Errorf("fleet: unit %q reassigned %d times, giving up", sh.unit.Label, sh.reassigns))
 		return
 	}
-	if p.assignableLocked() == 0 {
-		if p.opts.Fallback {
-			p.fallbacks++
-			go p.fallback(sh)
-			return
-		}
-		sh.delivered = true
-		sh.done <- shardResult{err: fmt.Errorf("fleet: no live workers left for unit %q", sh.unit.Label)}
+	if p.assignableCountLocked() == 0 {
+		p.orphanLocked(sh)
 		return
 	}
 	sh.queued = p.now()
@@ -857,32 +764,14 @@ func (p *Pool) requeueLocked(sh *shard) {
 	p.wakeLocked()
 }
 
-// assignableLocked counts workers a shard could be leased to; callers
-// hold p.mu.
-func (p *Pool) assignableLocked() int {
+// assignableCountLocked counts workers a shard could be leased to;
+// callers hold p.mu.
+func (p *Pool) assignableCountLocked() int {
 	n := 0
 	for _, w := range p.workers {
-		if w.dead || w.state == WorkerQuarantined {
-			continue
+		if p.assignableLocked(w) {
+			n++
 		}
-		if w.remote && p.draining {
-			continue
-		}
-		n++
 	}
 	return n
-}
-
-// stopBeats silences a worker's heartbeat without marking it dead — the
-// monitor must then detect the silence. Test hook for the expiry path.
-func (p *Pool) stopBeats(id string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if w, ok := p.workers[id]; ok && w.stopBeat != nil {
-		select {
-		case <-w.stopBeat:
-		default:
-			close(w.stopBeat)
-		}
-	}
 }

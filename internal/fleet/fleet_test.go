@@ -1,9 +1,12 @@
 package fleet
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -35,6 +38,32 @@ func (g *gateEval) Evaluate(u search.EvalUnit) (search.Verdict, error) {
 	}
 	<-g.gate
 	return search.Verdict{Pass: true, Attempts: 1}, nil
+}
+
+// mutable is an in-process worker whose heartbeats a test can silence
+// without killing it, so the monitor must detect the silence itself.
+type mutable struct {
+	local
+	mute atomic.Bool
+}
+
+func (c *mutable) Heartbeat(ctx context.Context, inflight int) error {
+	if c.mute.Load() {
+		return nil
+	}
+	return c.local.Heartbeat(ctx, inflight)
+}
+
+// startMutable adds n in-process workers on the shared runtime and
+// returns them by ID.
+func startMutable(p *Pool, n int) map[string]*mutable {
+	ws := make(map[string]*mutable)
+	for i := 0; i < n; i++ {
+		c := &mutable{local: local{p: p, id: p.register("", false, 1, 1)}}
+		ws[c.id] = c
+		go p.serveLocal(c)
+	}
+	return ws
 }
 
 func waitBusy(t *testing.T, p *Pool) WorkerInfo {
@@ -182,7 +211,7 @@ func TestPoolReassignCap(t *testing.T) {
 func TestPoolHeartbeatExpiry(t *testing.T) {
 	p := New(Options{Heartbeat: 10 * time.Millisecond, Expiry: 30 * time.Millisecond})
 	defer p.Close()
-	p.Start(2)
+	workers := startMutable(p, 2)
 	g := &gateEval{gate: make(chan struct{}), started: make(chan string, 4)}
 	j := p.Register("j0001", g)
 
@@ -196,8 +225,8 @@ func TestPoolHeartbeatExpiry(t *testing.T) {
 	}()
 	<-g.started
 	victim := waitBusy(t, p)
-	p.stopBeats(victim.ID) // silent death: no Kill call
-	<-g.started            // monitor reassigned to the survivor
+	workers[victim.ID].mute.Store(true) // silent death: no Kill call
+	<-g.started                         // monitor reassigned to the survivor
 	close(g.gate)
 	if err := <-res; err != nil {
 		t.Fatal(err)
@@ -249,5 +278,129 @@ func TestPoolCloseFailsQueued(t *testing.T) {
 	close(g.gate) // let the in-flight evaluation finish and deliver
 	if err := <-first; err != nil {
 		t.Fatalf("in-flight shard should still deliver: %v", err)
+	}
+}
+
+// cancelEval is a job's evaluator whose runs stop with an Interrupted
+// verdict once the job's context is cancelled, like a UnitRunner's.
+type cancelEval struct {
+	ctx     context.Context
+	started chan struct{}
+	calls   atomic.Int32
+}
+
+func (c *cancelEval) Evaluate(u search.EvalUnit) (search.Verdict, error) {
+	c.calls.Add(1)
+	c.started <- struct{}{}
+	<-c.ctx.Done()
+	return search.Verdict{Interrupted: true}, nil
+}
+
+// TestPoolLocalCancelSettles: cancelling a job while an in-process
+// worker evaluates its unit settles the unit interrupted — delivered to
+// the cancelled search, never requeued for another run.
+func TestPoolLocalCancelSettles(t *testing.T) {
+	p := New(Options{})
+	defer p.Close()
+	p.Start(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	ev := &cancelEval{ctx: ctx, started: make(chan struct{}, 4)}
+	j := p.Register("j0001", ev)
+	res := evalAsync(j, "k1")
+	<-ev.started
+	cancel()
+	if r := <-res; r.err != nil || !r.v.Interrupted {
+		t.Fatalf("cancelled unit %+v, want an interrupted verdict", r)
+	}
+	if n := ev.calls.Load(); n != 1 {
+		t.Fatalf("%d evaluations of the cancelled unit, want 1 (no requeue)", n)
+	}
+	if p.QueueLen() != 0 {
+		t.Fatalf("cancelled unit left %d shards queued", p.QueueLen())
+	}
+}
+
+// errEval fails every evaluation.
+type errEval struct{ calls atomic.Int32 }
+
+var errBroken = errors.New("broken evaluation")
+
+func (e *errEval) Evaluate(search.EvalUnit) (search.Verdict, error) {
+	e.calls.Add(1)
+	return search.Verdict{}, errBroken
+}
+
+// TestPoolLocalErrorFailsUnit: an in-process evaluation error fails the
+// unit's search as it is — not requeued, and never a quarantine strike:
+// every local worker stays assignable.
+func TestPoolLocalErrorFailsUnit(t *testing.T) {
+	p := New(Options{QuarantineAfter: 1})
+	defer p.Close()
+	p.Start(2)
+	ev := &errEval{}
+	j := p.Register("j0001", ev)
+	const units = 3
+	for i := 0; i < units; i++ {
+		if _, err := j.EvaluateUnit(search.EvalUnit{Key: fmt.Sprintf("k%d", i)}); !errors.Is(err, errBroken) {
+			t.Fatalf("unit %d: err=%v, want the evaluation error", i, err)
+		}
+	}
+	if n := ev.calls.Load(); n != units {
+		t.Fatalf("%d evaluations for %d failing units, want no requeue", n, units)
+	}
+	if p.Alive() != 2 {
+		t.Fatalf("Alive() = %d after local evaluation errors, want 2", p.Alive())
+	}
+	for _, w := range p.Workers() {
+		if w.State == WorkerQuarantined || w.Fails != 0 {
+			t.Errorf("worker %s: state=%s fails=%d, want no strikes", w.ID, w.State, w.Fails)
+		}
+	}
+}
+
+// TestPoolDrainRemoteKeepsLocal: DrainRemote stops remote leases only;
+// in-process workers keep claiming.
+func TestPoolDrainRemoteKeepsLocal(t *testing.T) {
+	p := New(Options{})
+	defer p.Close()
+	p.Start(1)
+	p.DrainRemote()
+	j := p.Register("j0001", &fakeEval{})
+	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "kk"}); err != nil || !v.Pass {
+		t.Fatalf("unit during a remote drain: %+v err=%v", v, err)
+	}
+	if ws := p.Workers(); len(ws) != 1 || ws[0].Done != 1 {
+		t.Fatalf("workers %+v, want w1 with one delivery", ws)
+	}
+}
+
+// TestPoolKilledLocalStaysDead: a killed in-process worker stays dead
+// under its ID — it never re-registers — and the survivors take the
+// work.
+func TestPoolKilledLocalStaysDead(t *testing.T) {
+	p := New(Options{Heartbeat: 5 * time.Millisecond})
+	defer p.Close()
+	p.Start(2)
+	if err := p.Kill("w1"); err != nil {
+		t.Fatal(err)
+	}
+	j := p.Register("j0001", &fakeEval{})
+	for i := 0; i < 5; i++ {
+		if _, err := j.EvaluateUnit(search.EvalUnit{Key: fmt.Sprintf("k%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // several heartbeat ticks of the dead worker's runtime
+	ws := p.Workers()
+	if len(ws) != 2 {
+		t.Fatalf("%d workers registered after a kill, want 2 (no re-registration)", len(ws))
+	}
+	for _, w := range ws {
+		switch {
+		case w.ID == "w1" && w.State != WorkerDead:
+			t.Errorf("killed w1 is %s, want dead", w.State)
+		case w.ID == "w2" && w.Done != 5:
+			t.Errorf("w2 delivered %d units, want 5", w.Done)
+		}
 	}
 }

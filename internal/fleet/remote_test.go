@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,13 +20,27 @@ func evalAsync(j *JobHandle, key string) chan shardResult {
 	return out
 }
 
+// report delivers one outcome through ReportBatch; a non-empty evalErr
+// is a worker-side evaluation error.
+func report(p *Pool, id, job, key string, epoch int, v search.Verdict, evalErr string) (bool, error) {
+	r := Report{Job: job, Key: key, Epoch: epoch, Verdict: v}
+	if evalErr != "" {
+		r.Err = errors.New(evalErr)
+	}
+	acc, err := p.ReportBatch(id, []Report{r})
+	if err != nil {
+		return false, err
+	}
+	return acc[0], nil
+}
+
 // claimSoon polls Claim (for a single unit) until a lease arrives (the
 // shard queue is fed by a concurrent EvaluateUnit).
-func claimSoon(t *testing.T, p *Pool, id string) *RemoteLease {
+func claimSoon(t *testing.T, p *Pool, id string) *Lease {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		leases, _, err := p.Claim(id, 50*time.Millisecond, 1)
+		leases, _, err := p.Claim(id, 50*time.Millisecond, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +57,7 @@ func claimSoon(t *testing.T, p *Pool, id string) *RemoteLease {
 func TestRemoteClaimReport(t *testing.T) {
 	p := New(Options{Heartbeat: 10 * time.Millisecond, Expiry: 30 * time.Second})
 	defer p.Close()
-	id, hb, exp := p.AddRemote("rack1", 1)
+	id, hb, exp := p.AddRemote("rack1", 1, 0)
 	if hb <= 0 || exp <= 0 {
 		t.Fatalf("AddRemote returned heartbeat %v expiry %v", hb, exp)
 	}
@@ -51,7 +67,7 @@ func TestRemoteClaimReport(t *testing.T) {
 	if lease.Job != "j0001" || lease.Unit.Key != "k1" {
 		t.Fatalf("lease %+v, want j0001/k1", lease)
 	}
-	acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+	acc, err := report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
 	if err != nil || !acc {
 		t.Fatalf("Report: accepted=%v err=%v", acc, err)
 	}
@@ -72,14 +88,14 @@ func TestRemoteClaimReport(t *testing.T) {
 func TestRemoteReportIdempotent(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("dup", 1)
+	id, _, _ := p.AddRemote("dup", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	lease := claimSoon(t, p, id)
-	if acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); err != nil || !acc {
+	if acc, err := report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); err != nil || !acc {
 		t.Fatalf("first report: accepted=%v err=%v", acc, err)
 	}
-	if acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: false}, ""); err != nil || acc {
+	if acc, err := report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: false}, ""); err != nil || acc {
 		t.Fatalf("duplicate report: accepted=%v err=%v, want discarded", acc, err)
 	}
 	if r := <-res; !r.v.Pass {
@@ -99,12 +115,12 @@ func TestRemoteReportIdempotent(t *testing.T) {
 func TestRemoteClaimRedelivery(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("lossy", 1)
+	id, _, _ := p.AddRemote("lossy", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	res2 := evalAsync(j, "k2long") // a second unit is queued behind
 	first := claimSoon(t, p, id)
-	again, state, err := p.Claim(id, 0, 1)
+	again, state, err := p.Claim(id, 0, 1, 0)
 	if err != nil || len(again) == 0 {
 		t.Fatalf("re-claim: leases=%v state=%s err=%v", again, state, err)
 	}
@@ -119,14 +135,14 @@ func TestRemoteClaimRedelivery(t *testing.T) {
 			t.Fatalf("re-claim duplicated held unit %s under epoch %d", l.Unit.Key, l.Epoch)
 		}
 	}
-	if acc, _ := p.Report(id, first.Job, first.Unit.Key, first.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, id, first.Job, first.Unit.Key, first.Epoch, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("report after redelivery not accepted")
 	}
 	second := claimSoon(t, p, id)
 	if second.Unit.Key == first.Unit.Key {
 		t.Fatal("second claim re-delivered a settled unit")
 	}
-	p.Report(id, second.Job, second.Unit.Key, second.Epoch, search.Verdict{Pass: true}, "")
+	report(p, id, second.Job, second.Unit.Key, second.Epoch, search.Verdict{Pass: true}, "")
 	<-res
 	<-res2
 }
@@ -138,7 +154,7 @@ func TestRemoteStaleEpochDiscarded(t *testing.T) {
 	fc := newFakeClock()
 	p := New(Options{Heartbeat: time.Hour, Expiry: time.Minute, Clock: fc.Now})
 	defer p.Close()
-	dead, _, _ := p.AddRemote("doomed", 1)
+	dead, _, _ := p.AddRemote("doomed", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	stale := claimSoon(t, p, dead)
@@ -146,7 +162,7 @@ func TestRemoteStaleEpochDiscarded(t *testing.T) {
 	// The doomed worker partitions: no beats, lease expires on the
 	// pool's clock, shard requeues.
 	fc.Advance(2 * time.Minute)
-	surv, _, _ := p.AddRemote("survivor", 1)
+	surv, _, _ := p.AddRemote("survivor", 1, 0)
 	p.sweep()
 	fresh := claimSoon(t, p, surv)
 	if fresh.Unit.Key != stale.Unit.Key || fresh.Epoch == stale.Epoch {
@@ -154,10 +170,10 @@ func TestRemoteStaleEpochDiscarded(t *testing.T) {
 			fresh.Unit.Key, fresh.Epoch, stale.Unit.Key, stale.Epoch)
 	}
 	// The partition heals; the doomed worker's late report must die.
-	if acc, err := p.Report(dead, stale.Job, stale.Unit.Key, stale.Epoch, search.Verdict{Pass: false}, ""); acc || err == nil {
+	if acc, err := report(p, dead, stale.Job, stale.Unit.Key, stale.Epoch, search.Verdict{Pass: false}, ""); acc || err == nil {
 		t.Fatalf("late report from expired worker: accepted=%v err=%v, want rejected with ErrUnknownWorker", acc, err)
 	}
-	if acc, _ := p.Report(surv, fresh.Job, fresh.Unit.Key, fresh.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, surv, fresh.Job, fresh.Unit.Key, fresh.Epoch, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("current holder's report rejected")
 	}
 	if r := <-res; r.err != nil || !r.v.Pass {
@@ -171,26 +187,26 @@ func TestRemoteStaleEpochDiscarded(t *testing.T) {
 func TestRemoteQuarantine(t *testing.T) {
 	p := New(Options{QuarantineAfter: 2})
 	defer p.Close()
-	bad, _, _ := p.AddRemote("bad", 1)
-	good, _, _ := p.AddRemote("good", 1)
+	bad, _, _ := p.AddRemote("bad", 1, 0)
+	good, _, _ := p.AddRemote("good", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 
 	for i := 0; i < 2; i++ {
 		lease := claimSoon(t, p, bad)
-		acc, err := p.Report(bad, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{}, "oom")
+		acc, err := report(p, bad, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{}, "oom")
 		if err != nil || !acc {
 			t.Fatalf("failure report %d: accepted=%v err=%v", i, acc, err)
 		}
 	}
-	if leases, state, err := p.Claim(bad, 0, 1); err != nil || len(leases) != 0 || state != WorkerQuarantined {
+	if leases, state, err := p.Claim(bad, 0, 1, 0); err != nil || len(leases) != 0 || state != WorkerQuarantined {
 		t.Fatalf("claim after quarantine: leases=%v state=%s err=%v, want none/quarantined", leases, state, err)
 	}
-	if st, err := p.Heartbeat(bad); err != nil || st != WorkerQuarantined {
+	if st, err := p.HeartbeatLoad(bad, -1); err != nil || st != WorkerQuarantined {
 		t.Fatalf("quarantined worker heartbeat: state=%s err=%v, want it kept alive", st, err)
 	}
 	lease := claimSoon(t, p, good)
-	if acc, _ := p.Report(good, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, good, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("healthy worker's report rejected")
 	}
 	if r := <-res; r.err != nil || !r.v.Pass {
@@ -211,7 +227,7 @@ func TestRemoteQuarantine(t *testing.T) {
 func TestRemoteFailureCountResets(t *testing.T) {
 	p := New(Options{QuarantineAfter: 2})
 	defer p.Close()
-	id, _, _ := p.AddRemote("flaky", 1)
+	id, _, _ := p.AddRemote("flaky", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	keys := []string{"k1", "k2", "k3"}
 	var results []chan shardResult
@@ -222,14 +238,14 @@ func TestRemoteFailureCountResets(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		lease := claimSoon(t, p, id)
 		if i == 1 {
-			p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+			report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
 		} else {
-			p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{}, "flake")
+			report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{}, "flake")
 		}
 	}
 	// Settle whatever remains.
 	for done := false; !done; {
-		leases, state, err := p.Claim(id, 50*time.Millisecond, 1)
+		leases, state, err := p.Claim(id, 50*time.Millisecond, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +257,7 @@ func TestRemoteFailureCountResets(t *testing.T) {
 			continue
 		}
 		for _, lease := range leases {
-			p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
+			report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, "")
 		}
 	}
 	for _, res := range results {
@@ -258,12 +274,12 @@ func TestRemoteFailureCountResets(t *testing.T) {
 func TestRemoteInterruptedReportRequeues(t *testing.T) {
 	p := New(Options{QuarantineAfter: 1})
 	defer p.Close()
-	leaving, _, _ := p.AddRemote("leaving", 1)
-	staying, _, _ := p.AddRemote("staying", 1)
+	leaving, _, _ := p.AddRemote("leaving", 1, 0)
+	staying, _, _ := p.AddRemote("staying", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	lease := claimSoon(t, p, leaving)
-	acc, err := p.Report(leaving, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Interrupted: true}, "")
+	acc, err := report(p, leaving, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Interrupted: true}, "")
 	if err != nil || !acc {
 		t.Fatalf("interrupt report: accepted=%v err=%v", acc, err)
 	}
@@ -281,7 +297,7 @@ func TestRemoteInterruptedReportRequeues(t *testing.T) {
 	if re.Unit.Key != "k1" {
 		t.Fatalf("requeued unit %q, want k1", re.Unit.Key)
 	}
-	p.Report(staying, re.Job, re.Unit.Key, re.Epoch, search.Verdict{Pass: true}, "")
+	report(p, staying, re.Job, re.Unit.Key, re.Epoch, search.Verdict{Pass: true}, "")
 	if r := <-res; r.err != nil || !r.v.Pass {
 		t.Fatalf("unit result %+v", r)
 	}
@@ -306,7 +322,7 @@ func TestRemoteFallbackInProcess(t *testing.T) {
 
 	// A remote worker joins, claims a unit, then dies: the unit must
 	// fall back, not strand.
-	id, _, _ := p.AddRemote("mortal", 1)
+	id, _, _ := p.AddRemote("mortal", 1, 0)
 	res := evalAsync(j, "k2")
 	claimSoon(t, p, id)
 	if err := p.Kill(id); err != nil {
@@ -325,35 +341,35 @@ func TestRemoteFallbackInProcess(t *testing.T) {
 func TestRemoteUnknownWorker(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	if _, err := p.Heartbeat("r99"); err != ErrUnknownWorker {
+	if _, err := p.HeartbeatLoad("r99", -1); err != ErrUnknownWorker {
 		t.Errorf("Heartbeat(r99) err = %v", err)
 	}
-	if _, _, err := p.Claim("r99", 0, 1); err != ErrUnknownWorker {
+	if _, _, err := p.Claim("r99", 0, 1, 0); err != ErrUnknownWorker {
 		t.Errorf("Claim(r99) err = %v", err)
 	}
-	if _, err := p.Report("r99", "j", "k", 1, search.Verdict{}, ""); err != ErrUnknownWorker {
+	if _, err := report(p, "r99", "j", "k", 1, search.Verdict{}, ""); err != ErrUnknownWorker {
 		t.Errorf("Report(r99) err = %v", err)
 	}
-	id, _, _ := p.AddRemote("gone", 1)
+	id, _, _ := p.AddRemote("gone", 1, 0)
 	p.Kill(id)
-	if _, err := p.Heartbeat(id); err != ErrUnknownWorker {
+	if _, err := p.HeartbeatLoad(id, -1); err != ErrUnknownWorker {
 		t.Errorf("Heartbeat(dead) err = %v", err)
 	}
 }
 
 // TestRemoteDrain: DrainRemote stops new remote leases while letting
-// the in-flight one deliver; ReleaseRemoteLeases then breaks whatever
+// the in-flight one deliver; ReleaseLeases then breaks whatever
 // remains (after the owning searches are gone).
 func TestRemoteDrain(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("draining", 1)
+	id, _, _ := p.AddRemote("draining", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res1 := evalAsync(j, "k1")
 	lease := claimSoon(t, p, id)
 	p.DrainRemote()
 	// In-flight lease still delivers.
-	if acc, _ := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); !acc {
+	if acc, _ := report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); !acc {
 		t.Fatal("in-flight report rejected during drain")
 	}
 	if r := <-res1; r.err != nil || !r.v.Pass {
@@ -363,18 +379,18 @@ func TestRemoteDrain(t *testing.T) {
 		t.Fatalf("AwaitRemoteIdle = %d after delivery", n)
 	}
 	// No new lease while draining.
-	if leases, _, _ := p.Claim(id, 0, 1); len(leases) != 0 {
+	if leases, _, _ := p.Claim(id, 0, 1, 0); len(leases) != 0 {
 		t.Fatal("drain granted a new remote lease")
 	}
 }
 
-// TestRemoteReleaseBreaksLease: ReleaseRemoteLeases settles a remote
+// TestRemoteReleaseBreaksLease: ReleaseLeases settles a remote
 // shard interrupted (the shutdown path, after job cancellation) and
 // the worker's late report is discarded.
 func TestRemoteReleaseBreaksLease(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	id, _, _ := p.AddRemote("stuck", 1)
+	id, _, _ := p.AddRemote("stuck", 1, 0)
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	lease := claimSoon(t, p, id)
@@ -382,7 +398,7 @@ func TestRemoteReleaseBreaksLease(t *testing.T) {
 	if r := <-res; r.err != nil || !r.v.Interrupted {
 		t.Fatalf("released unit %+v, want interrupted", r)
 	}
-	if acc, err := p.Report(id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); acc || err != nil {
+	if acc, err := report(p, id, lease.Job, lease.Unit.Key, lease.Epoch, search.Verdict{Pass: true}, ""); acc || err != nil {
 		t.Fatalf("late report after release: accepted=%v err=%v, want discarded", acc, err)
 	}
 }
@@ -392,7 +408,7 @@ func TestRemoteReleaseBreaksLease(t *testing.T) {
 func TestRemoteInterruptQueued(t *testing.T) {
 	p := New(Options{})
 	defer p.Close()
-	p.AddRemote("idle", 1) // assignable, so units queue instead of erroring
+	p.AddRemote("idle", 1, 0) // assignable, so units queue instead of erroring
 	j := p.Register("j0001", &fakeEval{})
 	res := evalAsync(j, "k1")
 	deadline := time.Now().Add(5 * time.Second)
@@ -408,5 +424,70 @@ func TestRemoteInterruptQueued(t *testing.T) {
 	}
 	if v, err := j.EvaluateUnit(search.EvalUnit{Key: "k2"}); err != nil || !v.Interrupted {
 		t.Fatalf("post-interrupt unit %+v err=%v, want interrupted", v, err)
+	}
+}
+
+// TestClaimParksOnKnownLeases: a worker topping up its batch while it
+// holds leases must not get an instant re-delivery of what it already
+// knows — the claim parks until new work arrives or the wait ends. It
+// returns at once only when it grants a lease or the worker knows of
+// fewer leases than it holds (a lost response). The lease cap is the
+// batch the worker declared.
+func TestClaimParksOnKnownLeases(t *testing.T) {
+	p := New(Options{})
+	defer p.Close()
+	id, _, _ := p.AddRemote("topper", 1, 2)
+	j := p.Register("j0001", &fakeEval{})
+	var results []chan shardResult
+	for _, k := range []string{"k1", "k2", "k3"} {
+		results = append(results, evalAsync(j, k))
+		waitQueue(t, p, len(results))
+	}
+	held, _, err := p.Claim(id, 0, 3, 0)
+	if err != nil || len(held) != 2 {
+		t.Fatalf("claim: %d leases err=%v, want the declared batch of 2", len(held), err)
+	}
+
+	// At capacity, every lease known: park for the whole wait.
+	start := time.Now()
+	if leases, _, err := p.Claim(id, 100*time.Millisecond, 1, 2); err != nil || len(leases) != 0 {
+		t.Fatalf("claim with all leases known: leases=%v err=%v, want none", leases, err)
+	}
+	if waited := time.Since(start); waited < 100*time.Millisecond {
+		t.Fatalf("claim with all leases known returned after %v, want it parked", waited)
+	}
+	// The worker lost track of one: re-delivered at once, same epochs.
+	again, _, err := p.Claim(id, time.Minute, 1, 1)
+	if err != nil || len(again) != 2 || again[0].Epoch != held[0].Epoch || again[1].Epoch != held[1].Epoch {
+		t.Fatalf("claim after a lost response: %v err=%v, want both held leases re-delivered", again, err)
+	}
+
+	// A parked claim returns as soon as a report frees room for a grant.
+	parked := make(chan []Lease, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		leases, _, err := p.Claim(id, time.Minute, 1, 2)
+		if err != nil {
+			t.Error(err)
+		}
+		parked <- leases
+	}()
+	if acc, err := report(p, id, held[0].Job, held[0].Unit.Key, held[0].Epoch, search.Verdict{Pass: true}, ""); err != nil || !acc {
+		t.Fatalf("report: accepted=%v err=%v", acc, err)
+	}
+	wg.Wait()
+	got := <-parked
+	if len(got) == 0 || got[len(got)-1].Unit.Key != "k3" {
+		t.Fatalf("parked claim got %v, want the newly granted k3", got)
+	}
+	for _, l := range got {
+		report(p, id, l.Job, l.Unit.Key, l.Epoch, search.Verdict{Pass: true}, "")
+	}
+	for _, res := range results {
+		if r := <-res; r.err != nil {
+			t.Fatal(r.err)
+		}
 	}
 }

@@ -15,13 +15,16 @@ import (
 	"time"
 
 	"fpmix/internal/faultinject"
+	"fpmix/internal/fleet"
 	"fpmix/internal/jobs"
 )
 
 // ErrGone reports that the daemon no longer knows this worker ID (410
 // Gone): the daemon restarted, or an operator killed the worker. The
-// recovery is always the same — re-register under a fresh identity.
-var ErrGone = errors.New("remote: worker identity gone, re-register")
+// recovery is always the same — re-register under a fresh identity. It
+// wraps fleet.ErrUnknownWorker, the condition the worker runtime ends
+// a registration on.
+var ErrGone = fmt.Errorf("remote: worker identity gone, re-register: %w", fleet.ErrUnknownWorker)
 
 // errInjected marks transport errors manufactured by the network
 // chaos injector; they retry exactly like real ones.
@@ -68,20 +71,21 @@ func NewClient(base string, net *faultinject.NetInjector) *Client {
 }
 
 // Register joins the fleet, declaring the worker's evaluation
-// parallelism, retrying transient failures.
-func (c *Client) Register(ctx context.Context, name string, parallel int) (RegisterResponse, error) {
+// parallelism and lease batch, retrying transient failures.
+func (c *Client) Register(ctx context.Context, name string, parallel, batch int) (RegisterResponse, error) {
 	var resp RegisterResponse
-	err := c.post(ctx, "register", name, "/api/v1/fleet/register",
-		RegisterRequest{Name: name, Parallel: parallel}, &resp, rpcTimeout)
+	err := c.call(ctx, "register", name, "/api/v1/fleet/register",
+		RegisterRequest{Name: name, Parallel: parallel, Batch: batch}, &resp, rpcTimeout)
 	return resp, err
 }
 
-// Claim long-polls for up to max leases. The RPC deadline covers the
-// server's long-poll window plus transport grace.
-func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, max int) (ClaimResponse, error) {
+// Claim long-polls for up to max new leases while the worker holds
+// held. The RPC deadline covers the server's long-poll window plus
+// transport grace.
+func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, max, held int) (ClaimResponse, error) {
 	var resp ClaimResponse
-	err := c.post(ctx, "claim", c.nextKey(worker), "/api/v1/fleet/claim",
-		ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds(), Max: max}, &resp, wait+rpcTimeout)
+	err := c.call(ctx, "claim", c.nextKey(worker), "/api/v1/fleet/claim",
+		ClaimRequest{Worker: worker, WaitMS: wait.Milliseconds(), Max: max, Held: held}, &resp, wait+rpcTimeout)
 	return resp, err
 }
 
@@ -91,7 +95,7 @@ func (c *Client) Claim(ctx context.Context, worker string, wait time.Duration, m
 // naturally.
 func (c *Client) Heartbeat(ctx context.Context, worker string, inflight int) (HeartbeatResponse, error) {
 	var resp HeartbeatResponse
-	err := c.once(ctx, "heartbeat", c.nextKey(worker), "/api/v1/fleet/heartbeat",
+	err := c.attempt(ctx, "heartbeat", c.nextKey(worker), 0, "/api/v1/fleet/heartbeat",
 		HeartbeatRequest{Worker: worker, InFlight: inflight}, &resp, rpcTimeout)
 	return resp, err
 }
@@ -125,60 +129,34 @@ func (c *Client) Report(ctx context.Context, req ReportRequest) ([]bool, error) 
 		b.WriteString(r.Key)
 	}
 	var resp ReportResponse
-	err := c.post(ctx, "report", b.String(), "/api/v1/fleet/report",
+	err := c.call(ctx, "report", b.String(), "/api/v1/fleet/report",
 		req, &resp, rpcTimeout)
 	return resp.Accepted, err
 }
 
 // Backoff sleeps the client's jittered exponential retry delay before
-// the given attempt (none for attempt 0) — exported so the worker
-// runtime's register/claim loops share the transport's backoff policy
-// instead of hammering a briefly-unreachable daemon in lockstep with
-// the rest of the fleet.
+// the given attempt (none for attempt 0; the delay saturates past the
+// client's deepest retry step) — exported so the worker's register,
+// claim and report loops share the transport's backoff policy instead
+// of hammering a briefly-unreachable daemon in lockstep with the rest
+// of the fleet.
 func (c *Client) Backoff(ctx context.Context, attempt int) error {
-	return c.sleepBackoff(ctx, attempt)
+	return c.sleepBackoff(ctx, min(attempt, maxAttempts))
 }
 
 // JobSpec fetches the spec of the job a lease belongs to, from which
 // the worker builds its local evaluation stack.
 func (c *Client) JobSpec(ctx context.Context, job string) (jobs.Spec, error) {
 	var spec jobs.Spec
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if err := c.sleepBackoff(ctx, attempt); err != nil {
-			return spec, err
-		}
-		rctx, cancel := context.WithTimeout(ctx, rpcTimeout)
-		req, err := http.NewRequestWithContext(rctx, "GET", c.base+"/api/v1/fleet/jobs/"+job+"/spec", nil)
-		if err != nil {
-			cancel()
-			return spec, err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			cancel()
-			lastErr = err
-			continue
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		cancel()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			return spec, fmt.Errorf("remote: job spec %s: %s: %s", job, resp.Status, bytes.TrimSpace(data))
-		}
-		return spec, json.Unmarshal(data, &spec)
-	}
-	return spec, fmt.Errorf("remote: job spec %s: %w", job, lastErr)
+	err := c.call(ctx, "spec", job, "/api/v1/fleet/jobs/"+job+"/spec", nil, &spec, rpcTimeout)
+	return spec, err
 }
 
-// post sends one JSON RPC with retry/backoff and chaos injection. op
-// and key feed the injector (only attempt 0 of a pair is ever
-// faulted, so the retry loop always reaches a clean attempt).
-func (c *Client) post(ctx context.Context, op, key, path string, reqBody, respBody any, deadline time.Duration) error {
+// call sends one JSON RPC — a POST of reqBody, or a GET when reqBody
+// is nil — with retry/backoff and chaos injection. op and key feed the
+// injector (only attempt 0 of a pair is ever faulted, so the retry
+// loop always reaches a clean attempt).
+func (c *Client) call(ctx context.Context, op, key, path string, reqBody, respBody any, deadline time.Duration) error {
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := c.sleepBackoff(ctx, attempt); err != nil {
@@ -191,11 +169,6 @@ func (c *Client) post(ctx context.Context, op, key, path string, reqBody, respBo
 		lastErr = err
 	}
 	return fmt.Errorf("remote: %s gave up after %d attempts: %w", op, maxAttempts, lastErr)
-}
-
-// once sends one JSON RPC without retry (heartbeats).
-func (c *Client) once(ctx context.Context, op, key, path string, reqBody, respBody any, deadline time.Duration) error {
-	return c.attempt(ctx, op, key, 0, path, reqBody, respBody, deadline)
 }
 
 // errStatus marks terminal HTTP-status failures (the server answered;
@@ -222,11 +195,15 @@ func (c *Client) attempt(ctx context.Context, op, key string, attempt int, path 
 	send := func(dst any) error {
 		rctx, cancel := context.WithTimeout(ctx, deadline)
 		defer cancel()
-		data, err := json.Marshal(reqBody)
-		if err != nil {
-			return err
+		method, payload := "GET", io.Reader(nil)
+		if reqBody != nil {
+			data, err := json.Marshal(reqBody)
+			if err != nil {
+				return err
+			}
+			method, payload = "POST", bytes.NewReader(data)
 		}
-		req, err := http.NewRequestWithContext(rctx, "POST", c.base+path, bytes.NewReader(data))
+		req, err := http.NewRequestWithContext(rctx, method, c.base+path, payload)
 		if err != nil {
 			return err
 		}

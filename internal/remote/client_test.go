@@ -118,7 +118,7 @@ func TestClientRejectionTerminal(t *testing.T) {
 	}))
 	defer ts.Close()
 	c := NewClient(ts.URL, nil)
-	if _, err := c.Register(context.Background(), "w", 1); err == nil {
+	if _, err := c.Register(context.Background(), "w", 1, 0); err == nil {
 		t.Fatal("Register against 400 succeeded")
 	}
 	if got := hits.Load(); got != 1 {
@@ -135,12 +135,12 @@ func TestClientTransportRetry(t *testing.T) {
 	dead := NewClient("http://127.0.0.1:1", nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := dead.Register(ctx, "w", 1); err == nil {
+	if _, err := dead.Register(ctx, "w", 1, 0); err == nil {
 		t.Fatal("Register against a dead port succeeded")
 	}
 	// Against a live server the same call lands.
 	live := NewClient(ts.URL, nil)
-	resp, err := live.Register(context.Background(), "w", 1)
+	resp, err := live.Register(context.Background(), "w", 1, 0)
 	if err != nil || resp.ID != "r1" {
 		t.Fatalf("Register: %+v err=%v", resp, err)
 	}

@@ -1,19 +1,24 @@
-// Package remote is the out-of-process worker side of the fpmixd
-// fleet: the wire protocol a worker speaks to the daemon, a transport
-// client hardened against real networks (per-RPC deadlines, jittered
-// exponential retry, deterministic chaos injection), and the worker
-// runtime cmd/fpmixworker wraps.
+// Package remote is the out-of-process side of the fpmixd fleet: the
+// wire protocol a worker speaks to the daemon, a transport client
+// hardened against real networks (per-RPC deadlines, jittered
+// exponential retry, deterministic chaos injection), and Run, the
+// register/re-register loop cmd/fpmixworker wraps. A registered worker
+// runs the same fleet.Runtime as the daemon's in-process workers; this
+// package supplies only its fleet.Conn — the RPCs below, hex armor for
+// unit keys, and a small per-job cache of evaluation stacks built from
+// daemon-served job specs.
 //
 // The protocol is four idempotent JSON-over-HTTP RPCs against the
 // daemon's /api/v1/fleet endpoints:
 //
-//	register   join the fleet, declaring evaluation parallelism;
-//	           returns the worker ID and the heartbeat interval /
-//	           expiry budget to respect
-//	claim      long-poll for a batch of evaluation units; always
-//	           re-delivers every lease the worker still holds (same
-//	           epochs) before topping up, so claim responses lost on
-//	           the wire can never strand or double-assign a unit
+//	register   join the fleet, declaring evaluation parallelism and
+//	           lease batch; returns the worker ID and the heartbeat
+//	           interval / expiry budget to respect
+//	claim      long-poll for a batch of evaluation units, saying how
+//	           many leases the worker holds; when the daemon holds
+//	           more for it (a response was lost) every held lease is
+//	           re-delivered with its epoch, so lost claim responses can
+//	           never strand or double-assign a unit
 //	heartbeat  refresh the lease clock, carrying the worker's current
 //	           in-flight evaluation count; returns the worker state so
 //	           a quarantined worker learns to drain
@@ -38,11 +43,13 @@ import (
 )
 
 // RegisterRequest asks the daemon for a fleet identity. Parallel
-// declares how many evaluations the worker runs concurrently; the
-// daemon sizes lease grants to that capacity.
+// declares how many evaluations the worker runs concurrently; Batch
+// declares how many leases it holds at once, and the daemon never
+// leases it more (fleet.DefaultBatch(Parallel) when omitted).
 type RegisterRequest struct {
 	Name     string `json:"name"`
 	Parallel int    `json:"parallel,omitempty"`
+	Batch    int    `json:"batch,omitempty"`
 }
 
 // RegisterResponse carries the assigned worker ID and the liveness
@@ -54,14 +61,17 @@ type RegisterResponse struct {
 	ExpiryMS    int64  `json:"expiry_ms"`
 }
 
-// ClaimRequest long-polls for up to Max units (the worker's free batch
-// slots). The daemon may return fewer — including only re-deliveries
-// of leases the worker already holds — and never more than the
-// capacity it computed from the worker's declared parallelism.
+// ClaimRequest long-polls for up to Max new units (the worker's free
+// batch slots) while the worker holds Held leases. The daemon answers
+// early only when it grants a new lease or holds more leases for the
+// worker than Held (a claim response was lost: every held lease comes
+// back); otherwise the claim parks for the window. It never leases
+// beyond the worker's declared batch.
 type ClaimRequest struct {
 	Worker string `json:"worker"`
 	WaitMS int64  `json:"wait_ms"`
 	Max    int    `json:"max,omitempty"`
+	Held   int    `json:"held,omitempty"`
 }
 
 // Lease is one evaluation unit leased to this worker. Epoch, together

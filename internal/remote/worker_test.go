@@ -1,34 +1,59 @@
 package remote
 
-import "testing"
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
 
-// TestStaleLeaseGuard: the daemon re-delivers every held lease on every
-// claim, and a claim response composed while a report was in flight can
-// re-deliver a lease the daemon has since retired. The worker must
-// refuse both the duplicate and the already-reported epoch — but still
-// accept a genuine reassignment, which arrives with a higher epoch.
-func TestStaleLeaseGuard(t *testing.T) {
-	w := &workerRT{
-		held:     make(map[string]struct{}),
-		reported: make(map[string]int),
-		slot:     make(chan struct{}, 1),
+	"fpmix/internal/jobs"
+)
+
+// TestRunnerCacheBounded: a worker serving more jobs than runnerCap
+// keeps only the runnerCap most recently used runners — each holds a
+// whole built image — and a cached job reuses its runner without
+// fetching the spec again.
+func TestRunnerCacheBounded(t *testing.T) {
+	var mu sync.Mutex
+	fetches := map[string]int{}
+	fetched := func(job string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return fetches["/api/v1/fleet/jobs/"+job+"/spec"]
 	}
-	l := Lease{Job: "j0001", Epoch: 3, Unit: WireUnit{Key: "ab"}}
-	if !w.addHeld(l) {
-		t.Fatal("fresh lease refused")
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		fetches[r.URL.Path]++
+		mu.Unlock()
+		json.NewEncoder(w).Encode(jobs.Spec{Kernel: "ep", Class: "W"})
+	}))
+	defer ts.Close()
+	w := &worker{c: NewClient(ts.URL, nil), runCtx: context.Background()}
+	ctx := context.Background()
+	for i := 0; i < runnerCap+2; i++ {
+		if _, err := w.runnerFor(ctx, fmt.Sprintf("j%d", i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if w.addHeld(l) {
-		t.Fatal("already-held lease accepted twice")
+	if len(w.runners) != runnerCap {
+		t.Fatalf("%d runners cached after %d jobs, want the cap %d", len(w.runners), runnerCap+2, runnerCap)
 	}
-	w.dropHeld([]UnitReport{{Job: "j0001", Key: "ab", Epoch: 3}})
-	if n := w.heldCount(); n != 0 {
-		t.Fatalf("heldCount = %d after dropHeld, want 0", n)
+	last := fmt.Sprintf("j%d", runnerCap+1)
+	r1, _ := w.runnerFor(ctx, last)
+	r2, _ := w.runnerFor(ctx, last)
+	if r1 != r2 || w.runners[0].job != last {
+		t.Fatal("a cached job did not reuse its runner as the most recently used")
 	}
-	if w.addHeld(l) {
-		t.Fatal("stale re-delivery of a reported epoch accepted")
+	if n := fetched(last); n != 1 {
+		t.Fatalf("spec of a cached job fetched %d times, want 1", n)
 	}
-	l.Epoch = 4
-	if !w.addHeld(l) {
-		t.Fatal("re-leased unit at a higher epoch refused")
+	if _, err := w.runnerFor(ctx, "j0"); err != nil {
+		t.Fatal(err)
+	}
+	if n := fetched("j0"); n != 2 {
+		t.Fatalf("evicted job j0 fetched its spec %d times, want a rebuild (2)", n)
 	}
 }

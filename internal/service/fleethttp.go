@@ -32,7 +32,7 @@ func (s *Server) handleFleetRegister(w http.ResponseWriter, r *http.Request) {
 	if req.Name == "" {
 		req.Name = "worker"
 	}
-	id, hb, exp := s.pool.AddRemote(req.Name, req.Parallel)
+	id, hb, exp := s.pool.AddRemote(req.Name, req.Parallel, req.Batch)
 	writeJSON(w, http.StatusOK, remote.RegisterResponse{
 		ID:          id,
 		HeartbeatMS: hb.Milliseconds(),
@@ -65,7 +65,7 @@ func (s *Server) handleFleetClaim(w http.ResponseWriter, r *http.Request) {
 	if wait > maxClaimWait {
 		wait = maxClaimWait
 	}
-	leases, state, err := s.pool.Claim(req.Worker, wait, req.Max)
+	leases, state, err := s.pool.Claim(req.Worker, wait, req.Max, req.Held)
 	if err != nil {
 		fleetError(w, err)
 		return
@@ -84,7 +84,7 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 	if err := readJSON(w, r, &req); err != nil {
 		return
 	}
-	reports := make([]fleet.RemoteReport, len(req.Reports))
+	reports := make([]fleet.Report, len(req.Reports))
 	for i, ur := range req.Reports {
 		key, err := hex.DecodeString(ur.Key)
 		if err != nil {
@@ -93,9 +93,9 @@ func (s *Server) handleFleetReport(w http.ResponseWriter, r *http.Request) {
 			// instead of failing its batchmates' deliveries with a 400.
 			key = []byte("\x00undecodable:" + ur.Key)
 		}
-		reports[i] = fleet.RemoteReport{
-			Job: ur.Job, Key: string(key), Epoch: ur.Epoch,
-			Verdict: ur.Verdict, Err: ur.Error,
+		reports[i] = fleet.Report{Job: ur.Job, Key: string(key), Epoch: ur.Epoch, Verdict: ur.Verdict}
+		if ur.Error != "" {
+			reports[i].Err = errors.New(ur.Error)
 		}
 	}
 	accepted, err := s.pool.ReportBatch(req.Worker, reports)

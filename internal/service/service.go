@@ -174,11 +174,9 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.pool.DrainRemote()
 	if s.opts.DrainTimeout > 0 {
-		if left := s.pool.AwaitRemoteIdle(s.opts.DrainTimeout); left > 0 {
-			// Timed out: the stragglers are requeued below and re-evaluated
-			// by the next incarnation.
-			_ = left
-		}
+		// Stragglers past the timeout are requeued below and re-evaluated
+		// by the next incarnation.
+		s.pool.AwaitRemoteIdle(s.opts.DrainTimeout)
 	}
 	s.mu.Lock()
 	for _, cancel := range s.cancels {
