@@ -169,12 +169,11 @@ func BenchmarkAMG(b *testing.B) {
 // ---- Evaluation engine ---------------------------------------------------
 
 // BenchmarkSearchEvaluate measures end-to-end search throughput across
-// the evaluation backends: the cached engine on the compiled
-// direct-threaded VM tier (the default), the fork-point engine evaluating
-// siblings from shared-prefix snapshots, the cached engine pinned to the
-// per-step interpreter (nocompile), and the from-scratch fallback. All
-// sub-benchmarks run the identical search; ns/op ratios are the
-// respective speedups.
+// the evaluation backends behind search.Run's unit runner: the cached
+// engine on the compiled direct-threaded VM tier, the fork-point engine
+// evaluating siblings from shared-prefix snapshots, and the cached engine
+// pinned to the per-step interpreter (nocompile). All sub-benchmarks run
+// the identical search; ns/op ratios are the respective speedups.
 func BenchmarkSearchEvaluate(b *testing.B) {
 	bench, err := kernels.Get("mg", kernels.ClassW)
 	if err != nil {
@@ -188,7 +187,6 @@ func BenchmarkSearchEvaluate(b *testing.B) {
 		{"engine", search.EngineOn, false},
 		{"fork", search.EngineFork, false},
 		{"nocompile", search.EngineOn, true},
-		{"fallback", search.EngineOff, false},
 	} {
 		mode := mode
 		b.Run(mode.name, func(b *testing.B) {

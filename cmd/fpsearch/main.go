@@ -55,7 +55,6 @@ func main() {
 	gran := flag.String("granularity", "insn", "finest search level: func, block or insn")
 	noSplit := flag.Bool("nosplit", false, "disable the binary-splitting optimization")
 	noPrio := flag.Bool("noprio", false, "disable profile-based prioritization")
-	noEngine := flag.Bool("noengine", false, "evaluate through the from-scratch fallback instead of the cached engine")
 	noFork := flag.Bool("nofork", false, "disable fork-point evaluation: evaluate every configuration from the program entry instead of from shared-prefix snapshots")
 	noCompile := flag.Bool("nocompile", false, "run evaluations on the per-step interpreter instead of the compiled engine (differential testing)")
 	noPrune := flag.Bool("noprune", false, "disable static candidate pruning (dataflow unsafe sinks, zero-weight pieces)")
@@ -110,15 +109,11 @@ func main() {
 	}
 	// Fork-point evaluation is the default: the cached engine plus a
 	// snapshotted donor run and incremental re-linking. -nofork keeps the
-	// cached engine but evaluates every run from the entry; -noengine
-	// drops to the from-scratch seed pipeline. Finals are byte-identical
-	// across all three (pinned by the fork and engine identity tests).
+	// cached engine but evaluates every run from the entry. Finals are
+	// byte-identical either way (pinned by the fork identity tests).
 	mode := search.EngineFork
 	if *noFork {
 		mode = search.EngineOn
-	}
-	if *noEngine {
-		mode = search.EngineOff
 	}
 	var sh *shadow.Profile
 	if !*noSens {

@@ -85,13 +85,9 @@ func (a *analysis) flagReachFor(singles map[uint64]bool, precise bool) []bitset 
 	return flagIn
 }
 
-// flagStep applies instruction i's transfer function to state in place.
-func (a *analysis) flagStep(i int, st bitset) {
-	a.flagStepFor(i, st, nil, false)
-}
-
-// flagStepFor is flagStep under a restricted single-candidate set (nil =
-// any configuration) and an optional precise memory model. It takes only
+// flagStepFor applies instruction i's transfer function to state in
+// place, under a restricted single-candidate set (nil = any
+// configuration) and an optional precise memory model. It takes only
 // per-call state, so concurrent analyses over the same supergraph are
 // safe.
 func (a *analysis) flagStepFor(i int, st bitset, singles map[uint64]bool, precise bool) {

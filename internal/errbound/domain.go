@@ -117,14 +117,6 @@ func (v *aval) singleton() (float64, bool) {
 	return 0, false
 }
 
-// isingleton reports whether the int view pins one value.
-func (v *aval) isingleton() (int64, bool) {
-	if !v.iTop && v.ilo == v.ihi {
-		return v.ilo, true
-	}
-	return 0, false
-}
-
 // emptyF reports an empty float interval (value never read as float, or
 // always NaN when mayNaN).
 func (v *aval) emptyF() bool { return v.lo > v.hi }

@@ -14,6 +14,7 @@ import (
 	"io"
 
 	"fpmix/internal/config"
+	"fpmix/internal/faultinject"
 	"fpmix/internal/kernels"
 	"fpmix/internal/prog"
 	"fpmix/internal/search"
@@ -253,6 +254,29 @@ func (sp Spec) Kind() config.Kind {
 	default:
 		return config.KindInsn
 	}
+}
+
+// SearchOptions maps the spec onto the search options shared by the
+// daemon's search.Run and every runner that evaluates the job's units,
+// local or remote — the same engine mode and chaos wiring everywhere,
+// so remote verdicts are indistinguishable from local ones. Callers add
+// the per-site fields (Context, Workers, Units, ...).
+func (sp Spec) SearchOptions() search.Options {
+	opts := search.Options{
+		Granularity: sp.Kind(),
+		BinarySplit: true,
+		Prioritize:  true,
+		Engine:      search.EngineFork,
+		NoPrune:     sp.NoPrune,
+		NoProve:     sp.NoProve,
+	}
+	if sp.NoFork {
+		opts.Engine = search.EngineOn
+	}
+	if sp.Chaos != 0 {
+		opts.Chaos = faultinject.New(sp.Chaos, faultinject.DefaultRates, 0)
+	}
+	return opts
 }
 
 // Fingerprint derives the job's journal fingerprint from its built

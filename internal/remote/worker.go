@@ -196,13 +196,12 @@ func (w *worker) sabotageNext() bool {
 }
 
 // runnerFor returns the local evaluation stack for a job, building it
-// on a cache miss from the daemon-served job spec — the same engine
-// mode and chaos wiring the daemon's own in-process runner uses, so
-// remote verdicts are indistinguishable from local ones. Runners are
-// cached for the runnerCap most recently used jobs (UnitRunner is safe
-// for concurrent use, so all Parallel evaluators share one per job);
-// job IDs are stable across daemon restarts and specs are immutable,
-// so the cache never goes stale.
+// on a cache miss from the daemon-served job spec's search options
+// (jobs.Spec.SearchOptions, which the daemon's own runner uses too).
+// Runners are cached for the runnerCap most recently used jobs
+// (UnitRunner is safe for concurrent use, so all Parallel evaluators
+// share one per job); job IDs are stable across daemon restarts and
+// specs are immutable, so the cache never goes stale.
 func (w *worker) runnerFor(ctx context.Context, job string) (*search.UnitRunner, error) {
 	w.mu.Lock()
 	r := w.touchLocked(job)
@@ -218,19 +217,9 @@ func (w *worker) runnerFor(ctx context.Context, job string) (*search.UnitRunner,
 	if err != nil {
 		return nil, err
 	}
-	mode := search.EngineFork
-	if spec.NoFork {
-		mode = search.EngineOn
-	}
-	var chaos *faultinject.Injector
-	if spec.Chaos != 0 {
-		chaos = faultinject.New(spec.Chaos, faultinject.DefaultRates, 0)
-	}
-	r, err = search.NewUnitRunner(target, search.Options{
-		Engine:  mode,
-		Context: w.runCtx,
-		Chaos:   chaos,
-	})
+	opts := spec.SearchOptions()
+	opts.Context = w.runCtx
+	r, err = search.NewUnitRunner(target, opts)
 	if err != nil {
 		return nil, err
 	}

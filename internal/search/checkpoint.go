@@ -294,16 +294,16 @@ func (j *Journal) lookup(key string) (jv journalVerdict, ok bool) {
 // provenance ("forked=<prefix steps saved>") so a resumed search
 // reports the inherited work faithfully; readers that predate the field
 // treat such lines as torn and stop there.
-func (j *Journal) record(key string, s settled) error {
+func (j *Journal) record(key string, v Verdict) error {
 	verdict := "fail"
-	if s.pass {
+	if v.Pass {
 		verdict = "pass"
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var err error
-	if s.forked {
-		_, err = fmt.Fprintf(j.f, "%s %s forked=%d\n", hex.EncodeToString([]byte(key)), verdict, s.prefixSaved)
+	if v.Forked {
+		_, err = fmt.Fprintf(j.f, "%s %s forked=%d\n", hex.EncodeToString([]byte(key)), verdict, v.PrefixSaved)
 	} else {
 		_, err = fmt.Fprintf(j.f, "%s %s\n", hex.EncodeToString([]byte(key)), verdict)
 	}

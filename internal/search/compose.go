@@ -49,7 +49,9 @@ func Compose(t Target, res *Result) (*ComposeResult, error) {
 		return pieces[i].Addrs[0] < pieces[j].Addrs[0]
 	})
 
-	ev, err := newEvaluator(t, EngineOn, false)
+	// Probes settle through a unit runner like the search's own units,
+	// so a crash in one is recovered as a failing verdict.
+	r, err := NewUnitRunner(t, Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -65,12 +67,13 @@ func Compose(t Target, res *Result) (*ComposeResult, error) {
 		}
 		cr.Dropped = append(cr.Dropped, p)
 		eff := cfg.Effective()
-		out, err := ev.evaluate(evalRequest{eff: eff})
+		singles := singleAddrs(eff)
+		v, err := r.Evaluate(EvalUnit{Key: addrKey(singles), Addrs: singles})
 		if err != nil {
 			return nil, err
 		}
 		cr.Tested++
-		if out.pass {
+		if v.Pass {
 			cr.Config = cfg
 			cr.Pass = true
 			cr.Stats = replace.ComputeStats(t.Module, eff, res.Profile)

@@ -87,9 +87,9 @@ func TestComposeRecoversPassingSubset(t *testing.T) {
 	if cr.Stats.StaticSingle >= res.Stats.StaticSingle {
 		t.Error("composition should replace strictly less than the failing union")
 	}
-	// The composed configuration really passes (checked via the fallback
+	// The composed configuration really passes (checked via the seed
 	// pipeline, independently of the engine Compose used).
-	out, err := legacyEvaluator{t: tgt}.evaluate(evalRequest{eff: cr.Config.Effective()})
+	out, err := (&seedEval{t: tgt}).evaluate(evalRequest{eff: cr.Config.Effective()})
 	if err != nil {
 		t.Fatal(err)
 	}

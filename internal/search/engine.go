@@ -25,11 +25,6 @@ const (
 	// reset instead of reallocated, and duplicate address sets are
 	// memoized.
 	EngineOn EngineMode = iota
-	// EngineOff evaluates every configuration from scratch through the
-	// seed pipeline (replace.InstrumentMap + vm.New). It exists as the
-	// differential-testing fallback and as the baseline the engine is
-	// benchmarked against.
-	EngineOff
 	// EngineFork is the cached engine plus fork-point evaluation: one
 	// donor run of the base configuration is snapshotted at every
 	// candidate site's first execution, each sibling configuration is
@@ -100,37 +95,12 @@ func runMachine(m *vm.Machine, req evalRequest) error {
 }
 
 // newEvaluator builds the backend selected by mode. noCompile forces the
-// cached engine's machines onto the per-step interpreter tier (the legacy
-// backend never compiles, so the flag is meaningful only with EngineOn).
+// engine's machines onto the per-step interpreter tier.
 func newEvaluator(t Target, mode EngineMode, noCompile bool) (evaluator, error) {
-	switch mode {
-	case EngineOff:
-		return legacyEvaluator{t: t}, nil
-	case EngineFork:
+	if mode == EngineFork {
 		return newForkEngine(t, noCompile)
-	default:
-		return newEngine(t, noCompile)
 	}
-}
-
-// legacyEvaluator is the unmodified seed path: full snippet regeneration,
-// layout and a fresh machine per evaluation.
-type legacyEvaluator struct{ t Target }
-
-func (e legacyEvaluator) evaluate(req evalRequest) (outcome, error) {
-	inst, err := replace.InstrumentMap(e.t.Module, req.eff, e.t.InstOpts)
-	if err != nil {
-		return outcome{}, err
-	}
-	m, err := vm.New(inst)
-	if err != nil {
-		return outcome{}, err
-	}
-	m.MaxSteps = e.t.MaxSteps
-	if req.trapAfter > 0 {
-		m.InjectTrapAfter(req.trapAfter)
-	}
-	return finish(e.t, m, runMachine(m, req))
+	return newEngine(t, noCompile)
 }
 
 // engine is the cached evaluation backend. It holds the per-instruction

@@ -44,10 +44,11 @@ func passingSets(res *Result) map[string]bool {
 }
 
 // TestEngineMatchesFallback runs the full search on real kernels with the
-// cached engine and with the from-scratch fallback and requires identical
-// outcomes: same candidates, same passing pieces, same final verdict and
-// statistics, and an evaluation count that differs only by the memoized
-// duplicates the engine replays.
+// cached engine and with the seed pipeline as the evaluation backend, and
+// requires identical outcomes: same candidates, same passing pieces, same
+// final verdict and statistics, and the same evaluation and memo counts.
+// Memo replays never reach the evaluator: the seed evaluator runs
+// exactly once per tested configuration.
 func TestEngineMatchesFallback(t *testing.T) {
 	for _, name := range []string{"cg", "mg"} {
 		t.Run(name, func(t *testing.T) {
@@ -61,26 +62,27 @@ func TestEngineMatchesFallback(t *testing.T) {
 				MaxSteps: bench.MaxSteps,
 				Base:     bench.Base,
 			}
-			run := func(mode EngineMode) *Result {
+			run := func(ev evaluator) *Result {
 				res, err := Run(tgt, Options{
 					Workers:     4,
 					BinarySplit: true,
 					Prioritize:  true,
-					Engine:      mode,
+					testEval:    ev,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			on, off := run(EngineOn), run(EngineOff)
+			seed := &seedEval{t: tgt}
+			on, off := run(nil), run(seed)
 
-			if off.MemoHits != 0 {
-				t.Errorf("fallback counted %d memo hits", off.MemoHits)
+			if n := int(seed.calls.Load()); n != off.Tested {
+				t.Errorf("seed evaluator ran %d times for %d tested configurations", n, off.Tested)
 			}
-			if on.Tested+on.MemoHits != off.Tested {
-				t.Errorf("tested+memo mismatch: engine %d+%d, fallback %d",
-					on.Tested, on.MemoHits, off.Tested)
+			if on.Tested != off.Tested || on.MemoHits != off.MemoHits {
+				t.Errorf("tested/memo mismatch: engine %d/%d, seed %d/%d",
+					on.Tested, on.MemoHits, off.Tested, off.MemoHits)
 			}
 			if on.Candidates != off.Candidates {
 				t.Errorf("candidates differ: %d vs %d", on.Candidates, off.Candidates)
@@ -98,7 +100,7 @@ func TestEngineMatchesFallback(t *testing.T) {
 			}
 			for k := range offSets {
 				if !onSets[k] {
-					t.Error("fallback passing piece missing from engine result")
+					t.Error("seed passing piece missing from engine result")
 				}
 			}
 		})
@@ -106,31 +108,33 @@ func TestEngineMatchesFallback(t *testing.T) {
 }
 
 // TestSearchMemoHitsCounted forces the module→func duplicate chain and
-// checks the engine replays it from the memo table while the fallback
-// re-evaluates it, with identical search outcomes.
+// checks the search replays it from the memo table instead of
+// re-evaluating: the seed evaluator runs exactly once per tested
+// configuration, and the engine reaches the same counts and outcome.
 func TestSearchMemoHitsCounted(t *testing.T) {
 	m := singleFuncProgram(t)
 	v := refVerify(t, m, 1e-10)
-	on, err := Run(Target{Module: m, Verify: v}, Options{Engine: EngineOn})
+	on, err := Run(Target{Module: m, Verify: v}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := Run(Target{Module: m, Verify: v}, Options{Engine: EngineOff})
+	seed := &seedEval{t: Target{Module: m, Verify: v}}
+	off, err := Run(Target{Module: m, Verify: v}, Options{testEval: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if on.MemoHits == 0 {
 		t.Error("engine replayed no duplicates on a single-function module")
 	}
-	if off.MemoHits != 0 {
-		t.Errorf("fallback counted %d memo hits", off.MemoHits)
+	if n := int(seed.calls.Load()); n != off.Tested {
+		t.Errorf("seed evaluator ran %d times for %d tested configurations", n, off.Tested)
 	}
-	if on.Tested+on.MemoHits != off.Tested {
-		t.Errorf("tested+memo mismatch: engine %d+%d, fallback %d",
-			on.Tested, on.MemoHits, off.Tested)
+	if on.Tested != off.Tested || on.MemoHits != off.MemoHits {
+		t.Errorf("tested/memo mismatch: engine %d/%d, seed %d/%d",
+			on.Tested, on.MemoHits, off.Tested, off.MemoHits)
 	}
 	if on.FinalPass != off.FinalPass || on.Stats != off.Stats {
-		t.Error("engine and fallback disagree on the search outcome")
+		t.Error("engine and seed evaluator disagree on the search outcome")
 	}
 }
 
@@ -157,31 +161,45 @@ func (s *scriptedEval) evaluate(evalRequest) (outcome, error) {
 }
 
 // TestRunPartialResultOnError drives Run into an evaluation error after a
-// piece has already passed, and checks the partial result retains that
-// piece and the counters while Final stays unset.
+// piece has already passed — on a later piece, and on the final-union
+// unit — and checks the partial result retains that piece and the
+// counters while Final stays unset.
 func TestRunPartialResultOnError(t *testing.T) {
 	m := mixedProgram(t)
 	v := refVerify(t, m, 1e-10)
-	stub := &scriptedEval{verdict: []func() (bool, error){
-		func() (bool, error) { return false, nil }, // module fails, expands
-		func() (bool, error) { return true, nil },  // first child passes
-		func() (bool, error) { return false, errEvalBoom },
-	}}
-	res, err := Run(Target{Module: m, Verify: v}, Options{Workers: 1, testEval: stub})
-	if !errors.Is(err, errEvalBoom) {
-		t.Fatalf("expected scripted error, got %v", err)
-	}
-	if res == nil {
-		t.Fatal("error drain discarded the partial result")
-	}
-	if res.Tested != 2 {
-		t.Errorf("partial result counted %d tested, want 2", res.Tested)
-	}
-	if len(res.Passing) != 1 {
-		t.Fatalf("partial result retained %d passing pieces, want 1", len(res.Passing))
-	}
-	if res.Final != nil {
-		t.Error("partial result must not carry a final configuration")
+	pass := func() (bool, error) { return true, nil }
+	fail := func() (bool, error) { return false, nil }
+	boom := func() (bool, error) { return false, errEvalBoom }
+	for _, tc := range []struct {
+		name    string
+		verdict []func() (bool, error)
+		tested  int
+	}{
+		// The module fails and expands, its first child passes, the
+		// next child errors.
+		{"piece", []func() (bool, error){fail, pass, boom}, 2},
+		// The module passes whole; the final-union run errors.
+		{"final union", []func() (bool, error){pass, boom}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := &scriptedEval{verdict: tc.verdict}
+			res, err := Run(Target{Module: m, Verify: v}, Options{Workers: 1, testEval: stub})
+			if !errors.Is(err, errEvalBoom) {
+				t.Fatalf("expected scripted error, got %v", err)
+			}
+			if res == nil {
+				t.Fatal("error drain discarded the partial result")
+			}
+			if res.Tested != tc.tested {
+				t.Errorf("partial result counted %d tested, want %d", res.Tested, tc.tested)
+			}
+			if len(res.Passing) != 1 {
+				t.Fatalf("partial result retained %d passing pieces, want 1", len(res.Passing))
+			}
+			if res.Final != nil {
+				t.Error("partial result must not carry a final configuration")
+			}
+		})
 	}
 }
 

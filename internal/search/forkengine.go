@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"fpmix/internal/config"
 	"fpmix/internal/dataflow"
@@ -82,11 +81,6 @@ type forkEngine struct {
 	mu         sync.Mutex
 	donorTried bool
 	donor      *donorState // nil after donorTried: forking unavailable
-
-	// Provenance counters, surfaced through Stats().
-	forked      atomic.Int64
-	reused      atomic.Int64
-	prefixSaved atomic.Uint64
 }
 
 // donorState is the completed donor pass: the base configuration's
@@ -288,8 +282,6 @@ func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
 	if fork == -1 {
 		// No single site ever executes: the candidate's run computes the
 		// donor run's states verbatim, so its verdict is the donor's.
-		e.reused.Add(1)
-		e.prefixSaved.Add(d.steps)
 		return outcome{pass: d.pass, forked: true, prefixSaved: d.steps}, nil
 	}
 
@@ -306,15 +298,7 @@ func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
 	}
 	m.MaxSteps = e.t.MaxSteps
 	m.NoCompile = e.noCompile
-	e.forked.Add(1)
-	e.prefixSaved.Add(snap.Steps())
 	out, err := finish(e.t, m, runMachine(m, req))
 	out.forked, out.prefixSaved = true, snap.Steps()
 	return out, err
-}
-
-// forkStats reports the engine's provenance counters: forked evaluations,
-// donor-verdict reuses, and total prefix instructions saved.
-func (e *forkEngine) forkStats() (forked, reused int64, prefixSaved uint64) {
-	return e.forked.Load(), e.reused.Load(), e.prefixSaved.Load()
 }

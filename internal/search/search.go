@@ -28,10 +28,13 @@ import (
 	"fpmix/internal/vm"
 )
 
-// Evaluations run either through the cached evaluation engine (snippet
-// precompilation, linked programs, machine reuse, configuration
-// memoization — engine.go) or through the from-scratch seed pipeline kept
-// as a differential-testing fallback; Options.Engine selects, default on.
+// Every evaluation — each piece and the final union run — is one
+// evaluation unit settled by a UnitEvaluator (unit.go): a local
+// UnitRunner by default, or the fleet when Options.Units is set. The
+// runner's backend is the cached evaluation engine (snippet
+// precompilation, linked programs, machine reuse — engine.go), with
+// fork-point evaluation on top under EngineFork; the search memoizes
+// verdicts by address set whichever backend settles them.
 
 // Target describes the program under search.
 type Target struct {
@@ -66,7 +69,7 @@ type Options struct {
 	// Prioritize orders the work queue by profiled execution weight.
 	Prioritize bool
 	// Engine selects the evaluation backend (default EngineOn: the
-	// cached evaluation engine; EngineOff: the from-scratch fallback).
+	// cached evaluation engine; EngineFork: fork-point evaluation).
 	Engine EngineMode
 	// NoCompile keeps the cached engine but forces its pooled machines
 	// onto the per-step interpreter tier instead of the compiled
@@ -137,8 +140,8 @@ type Options struct {
 	Checkpoint *Journal
 
 	// Units, when non-nil, routes every evaluation unit — each piece and
-	// the final union run — through the given evaluator instead of the
-	// in-process settler. This is the sharding seam the fleet scheduler
+	// the final union run — through the given evaluator instead of a
+	// local UnitRunner. This is the sharding seam the fleet scheduler
 	// (internal/fleet) drives: verdicts are deterministic per unit, so a
 	// sharded search composes a final configuration byte-identical to an
 	// in-process run's. Options.Workers still bounds the units in flight.
@@ -156,8 +159,8 @@ type Options struct {
 	// block indefinitely.
 	Observe func(Eval)
 
-	// testEval, when set by in-package tests, overrides the evaluation
-	// backend entirely.
+	// testEval, when set by in-package tests, replaces the engine under
+	// the local UnitRunner's settler.
 	testEval evaluator
 }
 
@@ -374,12 +377,6 @@ func Run(t Target, opts Options) (*Result, error) {
 	if opts.Granularity == config.KindModule {
 		opts.Granularity = config.KindInsn
 	}
-	if opts.Chaos != nil && opts.Retries == 0 {
-		// Chaos without a retry budget could never terminate cleanly;
-		// injected faults are healed by retries (and only first attempts
-		// are faulted, so 1 would do — 3 leaves slack for real flakes).
-		opts.Retries = 3
-	}
 	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -462,13 +459,12 @@ func Run(t Target, opts Options) (*Result, error) {
 		gate = opts.SensThreshold * sensGateMargin
 	}
 
-	// With an external unit evaluator (Options.Units) no local backend is
-	// built: every unit — including the final union — is routed out to
-	// the fleet, whose workers hold the engines.
-	ev := opts.testEval
-	if ev == nil && opts.Units == nil {
-		ev, err = newEvaluator(t, opts.Engine, opts.NoCompile)
-		if err != nil {
+	// Every unit — each piece and the final union — settles through one
+	// UnitEvaluator. With an external one (Options.Units) no local
+	// backend is built: the fleet's workers hold the engines.
+	units := opts.Units
+	if units == nil {
+		if units, err = newUnitRunner(t, opts, ignored); err != nil {
 			return nil, err
 		}
 	}
@@ -483,18 +479,6 @@ func Run(t Target, opts Options) (*Result, error) {
 	heap.Init(q)
 	heap.Push(q, root)
 
-	// The settler wraps every evaluation with the failure model: panic
-	// recovery, the per-attempt wall-clock bound, and bounded retry of
-	// transient (injected) faults — see robust.go.
-	st := &settler{
-		ev: ev, ignored: ignored, ctx: ctx,
-		timeout: opts.Timeout, retries: opts.Retries,
-		backoff: opts.Backoff, chaos: opts.Chaos,
-		// Fork-point evaluation replays deterministically, so a failing
-		// verdict needs no confirmation re-run — unless chaos is armed,
-		// where confirmation is what heals injected flaky verdicts.
-		noConfirm: opts.Engine == EngineFork && opts.Chaos == nil,
-	}
 	interrupted := func() bool { return ctx.Err() != nil }
 
 	// The static error-bound prover (internal/errbound) settles a piece
@@ -546,28 +530,30 @@ func Run(t Target, opts Options) (*Result, error) {
 	type evalRes struct {
 		p   *Piece
 		key string
-		s   settled
+		v   Verdict
+		err error
 	}
 	results := make(chan evalRes)
 	inflight := 0
 
 	launch := func(p *Piece, key string) {
 		inflight++
-		if opts.Units != nil {
-			u := newEvalUnit(key, p.Label, p.Kind, p.Addrs, false)
-			go func() {
-				v, uerr := opts.Units.EvaluateUnit(u)
-				s := settledOf(v)
-				if uerr != nil {
-					s = settled{err: uerr}
-				}
-				results <- evalRes{p: p, key: key, s: s}
-			}()
-			return
-		}
+		u := newEvalUnit(key, p.Label, p.Kind, p.Addrs, false)
 		go func() {
-			results <- evalRes{p: p, key: key, s: st.settle(effFor(p.Addrs, ignored), key)}
+			v, err := units.EvaluateUnit(u)
+			results <- evalRes{p: p, key: key, v: v, err: err}
 		}()
+	}
+
+	// abort drains the units still in flight, then surfaces err alongside
+	// the partial result: pieces that already passed stay available to
+	// the caller instead of being discarded.
+	abort := func(err error) (*Result, error) {
+		for ; inflight > 0; inflight-- {
+			<-results
+		}
+		sortPassing(res.Passing)
+		return res, err
 	}
 
 	// emit appends one Eval record and streams it to the observer.
@@ -587,38 +573,35 @@ func Run(t Target, opts Options) (*Result, error) {
 
 	// account folds a settled verdict's robustness metadata into the
 	// result and appends its full Eval record.
-	account := func(label string, kind config.Kind, insns int, s settled) {
-		res.Retried += s.retried
-		res.Injected += s.injected
-		switch s.failure {
+	account := func(label string, kind config.Kind, insns int, v Verdict) {
+		res.Retried += v.Retried
+		res.Injected += v.Injected
+		switch v.Failure {
 		case FailCrash:
 			res.Crashed++
 		case FailTimeout:
 			res.TimedOut++
 		}
-		if s.nondet {
+		if v.Nondet {
 			res.Nondeterministic = append(res.Nondeterministic, label)
 		}
-		if s.forked {
+		if v.Forked {
 			res.Forked++
-			res.PrefixInstrsSaved += s.prefixSaved
+			res.PrefixInstrsSaved += v.PrefixSaved
 		}
 		emit(Eval{
 			Label: label, Kind: kind, Insns: insns,
-			Pass: s.pass, Prov: ProvEvaluated, Wall: s.wall,
-			Failure: s.failure, Fault: s.fault, Stack: s.stack,
-			Attempts: s.attempts, Nondet: s.nondet,
-			Forked: s.forked, PrefixSaved: s.prefixSaved,
+			Pass: v.Pass, Prov: ProvEvaluated, Wall: v.Wall,
+			Failure: v.Failure, Fault: v.Fault, Stack: v.Stack,
+			Attempts: v.Attempts, Nondet: v.Nondet,
+			Forked: v.Forked, PrefixSaved: v.PrefixSaved,
 		})
 	}
 
-	// Verdict memoization (engine only): binary-split re-splits and
-	// aggregate chains with a single child re-enqueue address sets that
-	// were already decided; replay their verdicts instead of re-running.
-	var memo map[string]bool
-	if opts.Engine == EngineOn || opts.Engine == EngineFork {
-		memo = make(map[string]bool)
-	}
+	// Verdict memoization: binary-split re-splits and aggregate chains
+	// with a single child re-enqueue address sets that were already
+	// decided; replay their verdicts instead of re-running.
+	memo := make(map[string]bool)
 
 	// apply routes a piece's verdict: passing pieces are collected,
 	// failing ones expand into the next round of candidates.
@@ -657,13 +640,11 @@ func Run(t Target, opts Options) (*Result, error) {
 				continue
 			}
 			key := addrKey(p.Addrs)
-			if memo != nil {
-				if pass, ok := memo[key]; ok {
-					res.MemoHits++
-					record(p, pass, ProvMemo, 0)
-					apply(p, pass)
-					continue
-				}
+			if pass, ok := memo[key]; ok {
+				res.MemoHits++
+				record(p, pass, ProvMemo, 0)
+				apply(p, pass)
+				continue
 			}
 			if opts.Checkpoint != nil {
 				// After the memo: a journal verdict replays once, its
@@ -686,9 +667,7 @@ func Run(t Target, opts Options) (*Result, error) {
 						Pass: jv.pass, Prov: prov,
 						Forked: jv.forked, PrefixSaved: jv.prefixSaved,
 					})
-					if memo != nil {
-						memo[key] = jv.pass
-					}
+					memo[key] = jv.pass
 					apply(p, jv.pass)
 					continue
 				}
@@ -712,9 +691,7 @@ func Run(t Target, opts Options) (*Result, error) {
 						Label: p.Label, Kind: p.Kind, Insns: len(p.Addrs),
 						Pass: cv.Pass, Prov: prov,
 					})
-					if memo != nil {
-						memo[key] = cv.Pass
-					}
+					memo[key] = cv.Pass
 					apply(p, cv.Pass)
 					continue
 				}
@@ -723,20 +700,13 @@ func Run(t Target, opts Options) (*Result, error) {
 				res.Proved++
 				markProved(p)
 				record(p, true, ProvProved, 0)
-				if memo != nil {
-					memo[key] = true
-				}
+				memo[key] = true
 				if opts.Cache != nil {
 					opts.Cache.Store(key, CachedVerdict{Pass: true, Proved: true})
 				}
 				if opts.Checkpoint != nil {
 					if err := opts.Checkpoint.recordProved(key); err != nil {
-						for inflight > 0 {
-							<-results
-							inflight--
-						}
-						sortPassing(res.Passing)
-						return res, fmt.Errorf("search: checkpoint write: %w", err)
+						return abort(fmt.Errorf("search: checkpoint write: %w", err))
 					}
 				}
 				apply(p, true)
@@ -752,50 +722,34 @@ func Run(t Target, opts Options) (*Result, error) {
 		}
 		r := <-results
 		inflight--
-		if r.s.err != nil {
-			// Drain outstanding workers, then surface the error alongside
-			// the partial result: pieces that already passed stay
-			// available to the caller instead of being discarded.
-			for inflight > 0 {
-				<-results
-				inflight--
-			}
-			sortPassing(res.Passing)
-			return res, r.s.err
+		if r.err != nil {
+			return abort(r.err)
 		}
-		if r.s.interrupted {
+		if r.v.Interrupted {
 			// Cancelled before a verdict: the piece stays unsettled (and
 			// is never journaled). The launch gate is closed, so inflight
 			// drains and the loop exits.
 			continue
 		}
 		res.Tested++
-		if memo != nil {
-			memo[r.key] = r.s.pass
-		}
+		memo[r.key] = r.v.Pass
 		if opts.Cache != nil {
-			opts.Cache.Store(r.key, CachedVerdict{Pass: r.s.pass})
+			opts.Cache.Store(r.key, CachedVerdict{Pass: r.v.Pass})
 		}
 		if opts.Checkpoint != nil {
-			if err := opts.Checkpoint.record(r.key, r.s); err != nil {
-				for inflight > 0 {
-					<-results
-					inflight--
-				}
-				sortPassing(res.Passing)
-				return res, fmt.Errorf("search: checkpoint write: %w", err)
+			if err := opts.Checkpoint.record(r.key, r.v); err != nil {
+				return abort(fmt.Errorf("search: checkpoint write: %w", err))
 			}
 			if inflight == 0 {
 				// A write-batch boundary: every launched unit has settled.
 				// Durability point for the journal — fsync the batch.
 				if err := opts.Checkpoint.Sync(); err != nil {
-					sortPassing(res.Passing)
-					return res, fmt.Errorf("search: checkpoint sync: %w", err)
+					return abort(fmt.Errorf("search: checkpoint sync: %w", err))
 				}
 			}
 		}
-		account(r.p.Label, r.p.Kind, len(r.p.Addrs), r.s)
-		apply(r.p, r.s.pass)
+		account(r.p.Label, r.p.Kind, len(r.p.Addrs), r.v)
+		apply(r.p, r.v.Pass)
 	}
 
 	// Compose the final configuration: union of every passing piece.
@@ -838,44 +792,40 @@ func Run(t Target, opts Options) (*Result, error) {
 		return res, nil
 	}
 
-	// The final-union run goes through the settler too, so a crash or
-	// injected fault there is recovered like any other evaluation. Its
-	// verdict is never journaled: a resumed search re-checks composition.
-	// Under an external unit evaluator it ships as a unit like any piece
-	// (carrying just the single-flagged addresses — absent entries
-	// instrument as double exactly like explicit ones, so the run is
-	// identical to the in-process settle over the full effective map).
-	var fs settled
-	if opts.Units != nil {
-		var singles []uint64
-		for a, p := range eff {
-			if p == config.Single {
-				singles = append(singles, a)
-			}
-		}
-		sort.Slice(singles, func(i, j int) bool { return singles[i] < singles[j] })
-		v, uerr := opts.Units.EvaluateUnit(newEvalUnit(
-			"final union", "final union", config.KindModule, singles, true))
-		if uerr != nil {
-			res.Final = nil
-			return res, uerr
-		}
-		fs = settledOf(v)
-	} else {
-		fs = st.settle(eff, "final union")
-	}
-	if fs.err != nil {
+	// The final-union run is a unit like any piece, so a crash or
+	// injected fault there is recovered like any other evaluation. It
+	// carries just the single-flagged addresses: absent entries
+	// instrument as double exactly like explicit ones, and the runner
+	// re-derives the ignored set. Its verdict is never journaled: a
+	// resumed search re-checks composition.
+	fv, err := units.EvaluateUnit(newEvalUnit(
+		"final union", "final union", config.KindModule, singleAddrs(eff), true))
+	if err != nil {
 		res.Final = nil
-		return res, fs.err
+		return res, err
 	}
-	if fs.interrupted {
+	if fv.Interrupted {
 		res.Interrupted = true
 		return res, nil
 	}
 	res.Tested++
-	account("final union", config.KindModule, final.CountSingle(), fs)
-	res.FinalPass = fs.pass
+	account("final union", config.KindModule, final.CountSingle(), fv)
+	res.FinalPass = fv.Pass
 	return res, nil
+}
+
+// singleAddrs lists, in ascending order, the addresses an
+// effective-precision map lowers to single: the address set of the unit
+// that evaluates the whole configuration.
+func singleAddrs(eff map[uint64]config.Precision) []uint64 {
+	var singles []uint64
+	for a, p := range eff {
+		if p == config.Single {
+			singles = append(singles, a)
+		}
+	}
+	sort.Slice(singles, func(i, j int) bool { return singles[i] < singles[j] })
+	return singles
 }
 
 // baseIgnored resolves the target's base configuration and its ignored

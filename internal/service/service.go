@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"fpmix/internal/faultinject"
 	"fpmix/internal/fleet"
 	"fpmix/internal/jobs"
 	"fpmix/internal/search"
@@ -301,48 +300,29 @@ func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Re
 	if resumed > 0 {
 		st.note(fmt.Sprintf("resuming %d settled verdicts from the journal", resumed))
 	}
-	mode := search.EngineFork
-	if j.Spec.NoFork {
-		mode = search.EngineOn
-	}
-	var chaos *faultinject.Injector
-	if j.Spec.Chaos != 0 {
-		chaos = faultinject.New(j.Spec.Chaos, faultinject.DefaultRates, 0)
-	}
-	runner, err := search.NewUnitRunner(target, search.Options{
-		Engine:  mode,
-		Context: ctx,
-		Chaos:   chaos,
-	})
+	opts := j.Spec.SearchOptions()
+	opts.Context = ctx
+	runner, err := search.NewUnitRunner(target, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	handle := s.pool.Register(id, runner)
-	inflight := s.opts.Workers
-	if inflight <= 0 {
+	opts.Workers = s.opts.Workers
+	if opts.Workers <= 0 {
 		// Remote-only daemon: keep enough units in flight to feed a
 		// worker fleet whose size the daemon cannot know up front —
 		// batched leasing hands each remote worker several units per
 		// claim, so the queue must run deep enough to fill every
 		// worker's prefetch buffer without starving its peers.
-		inflight = 32
+		opts.Workers = 32
 	}
-	res, err := search.Run(target, search.Options{
-		Workers:       inflight,
-		Granularity:   j.Spec.Kind(),
-		BinarySplit:   true,
-		Prioritize:    true,
-		Engine:        mode,
-		NoPrune:       j.Spec.NoPrune,
-		NoProve:       j.Spec.NoProve,
-		Shadow:        sh,
-		SensThreshold: sensTol,
-		Context:       ctx,
-		Checkpoint:    journal,
-		Units:         handle,
-		Cache:         s.cache.Scope(j.Image),
-		Observe:       st.observe,
-	})
+	opts.Shadow = sh
+	opts.SensThreshold = sensTol
+	opts.Checkpoint = journal
+	opts.Units = handle
+	opts.Cache = s.cache.Scope(j.Image)
+	opts.Observe = st.observe
+	res, err := search.Run(target, opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -61,16 +61,10 @@ func (st *stream) add(e Event) {
 	}
 }
 
-// subscribe returns the history so far and a live channel (closed at
-// end of stream). nil channel means the stream already ended — replay
-// is complete.
-func (st *stream) subscribe() ([]Event, chan Event) {
-	return st.subscribeFrom(0)
-}
-
-// subscribeFrom is subscribe with the replay restricted to events with
-// Seq >= from — the reconnect path: a client that saw events up to seq
-// n resumes with from = n+1.
+// subscribeFrom returns the history of events with Seq >= from and a
+// live channel (closed at end of stream); a nil channel means the stream
+// already ended — replay is complete. A reconnecting client that saw
+// events up to seq n resumes with from = n+1.
 func (st *stream) subscribeFrom(from int) ([]Event, chan Event) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
