@@ -41,6 +41,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -572,10 +573,11 @@ func (p *Pool) takeLocked(w *worker) *shard {
 	sh := p.queue[pick]
 	if pick > 0 {
 		head.skips++
-		p.queue = append(p.queue[:pick], p.queue[pick+1:]...)
-	} else {
-		p.queue = p.queue[1:]
 	}
+	// Delete, not a reslice: it zeroes the vacated slot, so the backing
+	// array does not keep a settled shard — and through its job handle
+	// the job's runner and engines — reachable after the job ends.
+	p.queue = slices.Delete(p.queue, pick, pick+1)
 	return sh
 }
 

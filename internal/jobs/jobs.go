@@ -18,8 +18,6 @@ import (
 	"fpmix/internal/kernels"
 	"fpmix/internal/prog"
 	"fpmix/internal/search"
-	"fpmix/internal/verify"
-	"fpmix/internal/vm"
 )
 
 // State is a job's position in its lifecycle.
@@ -187,61 +185,33 @@ func (sp Spec) Name() string {
 	return "image:" + hex.EncodeToString(sum[:4])
 }
 
-// Build constructs the search target the spec describes. For an
-// uploaded image the reference outputs come from the image's own
-// double-precision run, which must complete cleanly.
+// Build constructs the search target the spec describes, uncached: the
+// image's artifacts (ArtifactStore.Get builds the same ones once per
+// image) and the verifier for this spec. For an uploaded image the
+// reference outputs come from the image's own double-precision run,
+// which must complete cleanly.
 func (sp Spec) Build() (search.Target, error) {
 	sp = sp.withDefaults()
-	if sp.Kernel != "" {
-		b, err := kernels.Get(sp.Kernel, kernels.Class(sp.Class))
-		if err != nil {
-			return search.Target{}, err
-		}
-		return search.Target{
-			Module:   b.Module,
-			Verify:   b.Verify,
-			MaxSteps: b.MaxSteps,
-			Base:     b.Base,
-		}, nil
-	}
-	m, err := prog.Load(sp.Image)
-	if err != nil {
-		return search.Target{}, fmt.Errorf("jobs: image does not parse: %w", err)
-	}
-	mach, err := vm.New(m)
+	a, err := buildArtifacts(sp)
 	if err != nil {
 		return search.Target{}, err
 	}
-	mach.MaxSteps = sp.MaxSteps
-	if err := mach.Run(); err != nil {
-		return search.Target{}, fmt.Errorf("jobs: reference run of uploaded image failed: %w", err)
-	}
-	ref := verify.Decode(mach.Out)
-	var vf func([]vm.OutVal) bool
-	switch sp.Verifier.Mode {
-	case "bitexact":
-		vf = verify.BitExact(ref)
-	default:
-		vf = verify.Tolerance(ref, sp.Verifier.Tol)
-	}
-	return search.Target{Module: m, Verify: vf, MaxSteps: sp.MaxSteps}, nil
+	return a.Target(sp), nil
 }
 
 // SensTol is the verifier tolerance the sensitivity gate compares
-// against (0 disables gating).
+// against (0 disables gating). A kernel spec builds the kernel to read
+// it; ArtifactStore callers use Artifacts.SensTol instead.
 func (sp Spec) SensTol() (float64, error) {
 	sp = sp.withDefaults()
+	a := &Artifacts{}
 	if sp.Kernel != "" {
-		b, err := kernels.Get(sp.Kernel, kernels.Class(sp.Class))
-		if err != nil {
+		var err error
+		if a, err = loadArtifacts(sp); err != nil {
 			return 0, err
 		}
-		return b.SensTol, nil
 	}
-	if sp.Verifier != nil && sp.Verifier.Mode == "rel" {
-		return sp.Verifier.Tol, nil
-	}
-	return 0, nil
+	return a.SensTol(sp), nil
 }
 
 // Granularity as a config.Kind.

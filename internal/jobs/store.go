@@ -48,8 +48,12 @@ func (j *Job) Fingerprint() search.Fingerprint {
 // each holding job.json (spec + state), the job's checkpoint journal,
 // and on completion the final configuration and summary. Opening a
 // store recovers jobs a dead server left running — they re-queue, and
-// their journals replay the work already settled.
+// their journals replay the work already settled. Each store keeps an
+// in-memory ArtifactStore, so its jobs build, reference-run and profile
+// each image once.
 type Store struct {
+	arts *ArtifactStore
+
 	mu   sync.Mutex
 	dir  string
 	jobs map[string]*Job
@@ -64,7 +68,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, jobs: make(map[string]*Job)}
+	st := &Store{arts: &ArtifactStore{}, dir: dir, jobs: make(map[string]*Job)}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -105,6 +109,9 @@ func Open(dir string) (*Store, error) {
 	return st, nil
 }
 
+// Artifacts returns the store's per-image artifact store.
+func (s *Store) Artifacts() *ArtifactStore { return s.arts }
+
 // Dir returns the store root.
 func (s *Store) Dir() string { return s.dir }
 
@@ -124,11 +131,11 @@ func (s *Store) Create(spec Spec) (Job, error) {
 	if err := spec.Validate(); err != nil {
 		return Job{}, err
 	}
-	t, err := spec.Build()
+	a, err := s.arts.Get(spec)
 	if err != nil {
 		return Job{}, err
 	}
-	fp, err := spec.Fingerprint(t.Module)
+	fp, err := spec.Fingerprint(a.module)
 	if err != nil {
 		return Job{}, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"fpmix/internal/faultinject"
 	"fpmix/internal/fleet"
+	"fpmix/internal/jobs"
 	"fpmix/internal/search"
 )
 
@@ -62,7 +63,7 @@ func Run(ctx context.Context, opts WorkerOptions) error {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	w := &worker{c: NewClient(opts.Server, opts.Net), opts: opts, runCtx: ctx}
+	w := &worker{c: NewClient(opts.Server, opts.Net), opts: opts, runCtx: ctx, arts: &jobs.ArtifactStore{}}
 	streak := 0
 	for ctx.Err() == nil {
 		reg, err := w.c.Register(ctx, opts.Name, opts.Parallel, opts.Batch)
@@ -98,6 +99,9 @@ type worker struct {
 	c      *Client
 	opts   WorkerOptions
 	runCtx context.Context
+	// arts holds the images this worker has evaluated units of, so a
+	// job over an image it already knows builds only its runner.
+	arts *jobs.ArtifactStore
 
 	mu        sync.Mutex
 	runners   []jobRunner // most recently used first, at most runnerCap
@@ -110,10 +114,11 @@ type jobRunner struct {
 	r   *search.UnitRunner
 }
 
-// runnerCap bounds the runner cache. A runner holds its job's built
-// image, engines and donor snapshots (~13 MB for a class-W kernel); a
-// worker serving a long stream of jobs would otherwise keep every one.
-// An evicted job that leases again pays one spec fetch and rebuild.
+// runnerCap bounds the runner cache. A runner holds its job's engines
+// and donor snapshots (~13 MB for a class-W kernel); a worker serving a
+// long stream of jobs would otherwise keep every one. An evicted job
+// that leases again pays one spec fetch and runner set-up; its image
+// artifacts stay in the worker's artifact store.
 const runnerCap = 4
 
 // conn is the fleet.Conn of one registered identity: the wire protocol
@@ -196,12 +201,13 @@ func (w *worker) sabotageNext() bool {
 }
 
 // runnerFor returns the local evaluation stack for a job, building it
-// on a cache miss from the daemon-served job spec's search options
-// (jobs.Spec.SearchOptions, which the daemon's own runner uses too).
-// Runners are cached for the runnerCap most recently used jobs
-// (UnitRunner is safe for concurrent use, so all Parallel evaluators
-// share one per job); job IDs are stable across daemon restarts and
-// specs are immutable, so the cache never goes stale.
+// on a cache miss over the worker's stored image artifacts with the
+// daemon-served job spec's search options (jobs.Spec.SearchOptions,
+// which the daemon's own runner uses too). Runners are cached for the
+// runnerCap most recently used jobs (UnitRunner is safe for concurrent
+// use, so all Parallel evaluators share one per job); job IDs are
+// stable across daemon restarts and specs are immutable, so the cache
+// never goes stale.
 func (w *worker) runnerFor(ctx context.Context, job string) (*search.UnitRunner, error) {
 	w.mu.Lock()
 	r := w.touchLocked(job)
@@ -213,13 +219,13 @@ func (w *worker) runnerFor(ctx context.Context, job string) (*search.UnitRunner,
 	if err != nil {
 		return nil, err
 	}
-	target, err := spec.Build()
+	arts, err := w.arts.Get(spec)
 	if err != nil {
 		return nil, err
 	}
 	opts := spec.SearchOptions()
 	opts.Context = w.runCtx
-	r, err = search.NewUnitRunner(target, opts)
+	r, err = search.NewUnitRunner(arts.Target(spec), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,8 @@ import (
 // TestRunnerCacheBounded: a worker serving more jobs than runnerCap
 // keeps only the runnerCap most recently used runners — each holds a
 // whole built image — and a cached job reuses its runner without
-// fetching the spec again.
+// fetching the spec again. All the jobs are over one image, which the
+// worker's artifact store builds once, evictions included.
 func TestRunnerCacheBounded(t *testing.T) {
 	var mu sync.Mutex
 	fetches := map[string]int{}
@@ -31,7 +32,7 @@ func TestRunnerCacheBounded(t *testing.T) {
 		json.NewEncoder(w).Encode(jobs.Spec{Kernel: "ep", Class: "W"})
 	}))
 	defer ts.Close()
-	w := &worker{c: NewClient(ts.URL, nil), runCtx: context.Background()}
+	w := &worker{c: NewClient(ts.URL, nil), runCtx: context.Background(), arts: &jobs.ArtifactStore{}}
 	ctx := context.Background()
 	for i := 0; i < runnerCap+2; i++ {
 		if _, err := w.runnerFor(ctx, fmt.Sprintf("j%d", i)); err != nil {
@@ -55,5 +56,8 @@ func TestRunnerCacheBounded(t *testing.T) {
 	}
 	if n := fetched("j0"); n != 2 {
 		t.Fatalf("evicted job j0 fetched its spec %d times, want a rebuild (2)", n)
+	}
+	if n := w.arts.Stats.References.Load(); n != 1 {
+		t.Fatalf("%d reference runs for one image across %d jobs, want 1", n, runnerCap+2)
 	}
 }

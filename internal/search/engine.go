@@ -103,13 +103,43 @@ func newEvaluator(t Target, mode EngineMode, noCompile bool) (evaluator, error) 
 	return newEngine(t, noCompile)
 }
 
+// machinePool is an engine's free list of reusable machines, at most
+// one per concurrent evaluation. Unlike a sync.Pool, which the runtime
+// registers process-wide and keeps alive one GC cycle past its last use,
+// it is referenced only by its engine: a finished search's machines,
+// and the engine with its donor snapshots, become garbage as soon as
+// the runner is dropped.
+type machinePool struct {
+	mu   sync.Mutex
+	free []*vm.Machine
+}
+
+func (p *machinePool) get() *vm.Machine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return &vm.Machine{}
+	}
+	m := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return m
+}
+
+func (p *machinePool) put(m *vm.Machine) {
+	p.mu.Lock()
+	p.free = append(p.free, m)
+	p.mu.Unlock()
+}
+
 // engine is the cached evaluation backend. It holds the per-instruction
 // compiled snippet table (built once at search start) and a pool of
 // reusable machines, one per active worker.
 type engine struct {
 	t     Target
 	snips *replace.CompiledSnippets
-	pool  sync.Pool
+	pool  machinePool
 	// noCompile pins pooled machines to the per-step interpreter tier
 	// (Options.NoCompile, fpsearch -nocompile).
 	noCompile bool
@@ -120,9 +150,7 @@ func newEngine(t Target, noCompile bool) (*engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &engine{t: t, snips: snips, noCompile: noCompile}
-	e.pool.New = func() any { return &vm.Machine{} }
-	return e, nil
+	return &engine{t: t, snips: snips, noCompile: noCompile}, nil
 }
 
 func (e *engine) evaluate(req evalRequest) (outcome, error) {
@@ -134,8 +162,8 @@ func (e *engine) evaluate(req evalRequest) (outcome, error) {
 	if err != nil {
 		return outcome{}, err
 	}
-	m := e.pool.Get().(*vm.Machine)
-	defer e.pool.Put(m)
+	m := e.pool.get()
+	defer e.pool.put(m)
 	m.ResetTo(lp)
 	m.MaxSteps = e.t.MaxSteps
 	m.NoCompile = e.noCompile

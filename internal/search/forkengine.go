@@ -76,7 +76,7 @@ type forkEngine struct {
 	// a forked run never snapshots, but tracking keeps every restore
 	// differential — cheaper than re-copying the full page vector per
 	// evaluation, since a run leaves the read-mostly pages clean.
-	pool sync.Pool // *vm.Machine, dirty-page tracked
+	pool machinePool // dirty-page tracked machines
 
 	mu         sync.Mutex
 	donorTried bool
@@ -125,13 +125,11 @@ func newForkEngine(t Target, noCompile bool) (*forkEngine, error) {
 	if err != nil {
 		fa = nil // no elision: every double site keeps its wrapper
 	}
-	e := &forkEngine{
+	return &forkEngine{
 		t: t, fallback: fb, il: il,
 		sites: sp.Sites, siteIdx: siteIdx, addrIdx: addrIdx,
 		noCompile: noCompile, fa: fa,
-	}
-	e.pool.New = func() any { return &vm.Machine{} }
-	return e, nil
+	}, nil
 }
 
 // choices maps an effective-precision map to the per-site variant vector,
@@ -290,8 +288,8 @@ func (e *forkEngine) evaluate(req evalRequest) (outcome, error) {
 		return outcome{}, err
 	}
 	snap := d.touch[fork].snap
-	m := e.pool.Get().(*vm.Machine)
-	defer e.pool.Put(m)
+	m := e.pool.get()
+	defer e.pool.put(m)
 	m.TrackDirtyPages()
 	if err := m.RestoreTo(lp, snap); err != nil {
 		return outcome{}, err

@@ -48,8 +48,39 @@ type Target struct {
 	// Base optionally carries pre-set Ignore flags (e.g. RNG routines);
 	// ignored instructions are excluded from the search.
 	Base *config.Config
-	// InstOpts are passed to the instrumenter.
+	// InstOpts are passed to the instrumenter. A supplied
+	// InstOpts.Analysis is also the dataflow result the search prunes
+	// with, so the module is analyzed once.
 	InstOpts replace.InstrumentOptions
+	// Baseline optionally supplies the uninstrumented reference run
+	// (RunBaseline) so the search skips its own profiling run. It must
+	// come from this Module and MaxSteps; the search still rejects a
+	// baseline whose outputs fail Verify.
+	Baseline *Baseline
+}
+
+// Baseline is the uninstrumented reference run of a module: its
+// per-address execution counts and its outputs. Callers that search one
+// image repeatedly compute it once and share it between searches, so the
+// search treats both as read-only (Result.Profile is Counts itself).
+type Baseline struct {
+	Counts map[uint64]uint64
+	Out    []vm.OutVal
+}
+
+// RunBaseline executes the module as is, under the step budget, and
+// records its baseline. A run that faults or exhausts the budget is an
+// error.
+func RunBaseline(m *prog.Module, maxSteps uint64) (*Baseline, error) {
+	mach, err := vm.New(m)
+	if err != nil {
+		return nil, err
+	}
+	mach.MaxSteps = maxSteps
+	if err := mach.Run(); err != nil {
+		return nil, err
+	}
+	return &Baseline{Counts: mach.Profile(), Out: mach.Out}, nil
 }
 
 // Options tune the search.
@@ -876,20 +907,21 @@ func sortPassing(pieces []*Piece) {
 	})
 }
 
-// profileRun executes the original program and returns per-address counts.
+// profileRun returns the original program's per-address counts, from
+// the target's precomputed baseline or from a fresh run, after checking
+// that the baseline outputs pass the target's own verification.
 func profileRun(t Target) (map[uint64]uint64, error) {
-	m, err := vm.New(t.Module)
-	if err != nil {
-		return nil, err
+	b := t.Baseline
+	if b == nil {
+		var err error
+		if b, err = RunBaseline(t.Module, t.MaxSteps); err != nil {
+			return nil, err
+		}
 	}
-	m.MaxSteps = t.MaxSteps
-	if err := m.Run(); err != nil {
-		return nil, err
-	}
-	if !t.Verify(m.Out) {
+	if !t.Verify(b.Out) {
 		return nil, fmt.Errorf("search: baseline run fails its own verification")
 	}
-	return m.Profile(), nil
+	return b.Counts, nil
 }
 
 // buildPiece converts a configuration subtree into the piece hierarchy,

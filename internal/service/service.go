@@ -264,26 +264,24 @@ func (s *Server) runJob(id string, ctx context.Context, cancel context.CancelFun
 	st.close()
 }
 
-// execute runs the search itself: target build, sensitivity profile,
-// journal open (fresh or resumed), unit runner registration with the
-// fleet, then the coordinator. Options mirror fpsearch's defaults so a
-// service job composes the identical final configuration.
+// execute runs the search itself: target and sensitivity profile from
+// the store's per-image artifacts, journal open (fresh or resumed), unit
+// runner registration with the fleet, then the coordinator. Options
+// mirror fpsearch's defaults so a service job composes the identical
+// final configuration.
 func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Result, *shadow.Profile, error) {
 	j, ok := s.store.Get(id)
 	if !ok {
 		return nil, nil, fmt.Errorf("service: no job %s", id)
 	}
-	target, err := j.Spec.Build()
+	arts, err := s.store.Artifacts().Get(j.Spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	sensTol, err := j.Spec.SensTol()
-	if err != nil {
-		return nil, nil, err
-	}
+	target := arts.Target(j.Spec)
 	var sh *shadow.Profile
 	if !j.Spec.NoSens {
-		if sh, err = shadow.Collect(j.Name, target.Module, target.MaxSteps); err != nil {
+		if sh, err = arts.Shadow(); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -317,7 +315,7 @@ func (s *Server) execute(ctx context.Context, id string, st *stream) (*search.Re
 		opts.Workers = 32
 	}
 	opts.Shadow = sh
-	opts.SensThreshold = sensTol
+	opts.SensThreshold = arts.SensTol(j.Spec)
 	opts.Checkpoint = journal
 	opts.Units = handle
 	opts.Cache = s.cache.Scope(j.Image)
